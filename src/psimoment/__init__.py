@@ -3,6 +3,7 @@
 Library surface:
 
 * :mod:`psimoment.sieve` - segmented prime-power sieve and summatory sums
+* :mod:`psimoment.sweep` - the piece sweep shared by every moment mode
 * :mod:`psimoment.fixed` - fixed-length window moments (sum and integral)
 * :mod:`psimoment.scaled` - proportional-window moment integrals
 * :mod:`psimoment.predictors` - asymptotic main terms and constants

@@ -19,6 +19,7 @@ from . import predictors, scaled as scaled_mod
 from .errors import CheckpointError, NumericRangeError
 from .report import MomentReport, MomentRow, emit, render_table
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, prime_count
+from .sweep import check_ks, sweep_segment
 
 LONG_RUN_SECONDS = 30 * 60
 
@@ -27,12 +28,16 @@ log = logging.getLogger("psimoment")
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        ks = tuple(sorted(int(part) for part in text.split(",")))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad moment order list {text!r}")
-    if not ks or any(k < 1 or k > 16 for k in ks):
-        raise argparse.ArgumentTypeError("moment orders must be in 1..16")
-    return ks
+        return check_ks(sorted(int(part) for part in text.split(",")))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad moment order list {text!r}: {exc}")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _add_run_flags(p: argparse.ArgumentParser) -> None:
@@ -60,22 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="print the prime count and summatory value at limit")
 
     p = sub.add_parser("fixed", help="fixed-length window moments")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--h", type=_finite_float, required=True)
     p.add_argument("--mode", choices=["sum", "integral"], default="sum")
     _add_run_flags(p)
 
     p = sub.add_parser("scaled", help="proportional-window moment integral")
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--delta", type=_finite_float, required=True)
     _add_run_flags(p)
 
     p = sub.add_parser("predict", help="evaluate asymptotic main terms")
     p.add_argument("--formula", choices=["ms", "thm-i", "thm-ii", "cramer"],
                    required=True)
-    p.add_argument("--x", type=float, required=True)
-    p.add_argument("--h", type=float)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--x", type=_finite_float, required=True)
+    p.add_argument("--h", type=_finite_float)
+    p.add_argument("--delta", type=_finite_float)
     p.add_argument("--k", type=_parse_ks, default=(2, 4, 6))
     p.add_argument("--out", metavar="PATH")
     p.add_argument("--format", choices=["csv", "json"])
@@ -191,23 +196,17 @@ REPRODUCE_TABLES = {
 
 
 def _projected_seconds(mode, x, param, ks, segment_size, threads) -> tuple[float, int]:
-    """Time one segment and extrapolate to the whole run."""
+    """Time the last full-size segment, the costliest kind, and extrapolate."""
     sieve = MangoldtSieve(segment_size)
     if mode == "fixed-sum":
-        plan = fixed_mod.partition_plan(int(x), int(param), segment_size)
-        task = (plan[0][0].lo, plan[0][0].hi, int(param), ks, sieve)
-        worker = fixed_mod._sum_segment
-        n = len(plan)
+        tasks = fixed_mod.sum_tasks(int(x), int(param), ks, sieve, segment_size)
     else:
-        plan = scaled_mod.scaled_partition_plan(x, param, segment_size)
-        (a, b), _ = plan[0]
-        task = (a, b, param, ks, sieve)
-        worker = scaled_mod._scaled_segment
-        n = len(plan)
+        tasks = scaled_mod.scaled_tasks(x, param, ks, sieve, segment_size)
+    task = max(tasks[-2:], key=lambda t: t[1] - t[0])  # skip a short remainder
     t0 = time.monotonic()
-    worker(task)
+    sweep_segment(task)
     per_segment = time.monotonic() - t0
-    return per_segment * n / max(1, threads), n
+    return per_segment * len(tasks) / max(1, threads), len(tasks)
 
 
 def _run_reproduce(args) -> MomentReport:
@@ -232,7 +231,9 @@ def _run_reproduce(args) -> MomentReport:
             x, param, ks, threads=args.threads,
             segment_size=args.segment_size, checkpoint=args.checkpoint,
             resume=args.resume)
-    report = _build_report(mode, x, param, ks, actual, time.monotonic() - t0)
+    wall = time.monotonic() - t0
+    log.info("actual wall time: %.0f s (projected %.0f s)", wall, projected)
+    report = _build_report(mode, x, param, ks, actual, wall)
     sys.stdout.write(render_table(report))
     return report
 

@@ -4,37 +4,19 @@ Two modes over windows of length h:
 
 * ``moment_sum`` - the discrete sum over integer anchors n = 1..X of
   (window weight - h)^k, windows half-open (n, n+h].
-* ``moment_integral_fixed`` - the exact integral over x in [1, X].  The
-  window weight is a step function jumping only where a prime power enters
-  (x = m - h) or leaves (x = m) the window, so the integral is a finite sum
-  of constant pieces.
+* ``moment_integral_fixed`` - the exact integral over x in [1, X].
 
-Both are computed segment by segment; each segment rebuilds its window
-state exactly from the sieve, so segments are independent and the parallel
-reduction is deterministic.
+Both run the piece sweep of :mod:`psimoment.sweep` with delta = 0 and
+beta = h.  With integer anchors and integer h the window weight is constant
+on [n, n+1), so the sum over anchors n in (lo, hi] is exactly the integral
+over [lo+1, hi+1].
 """
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
-from .checkpoint import config_digest
 from .runner import run_tasks
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, Segment
-
-__version_salt__ = 1  # bump to invalidate old checkpoints on algorithm change
-
-
-def _check_ks(ks) -> tuple[int, ...]:
-    ks = tuple(ks)
-    if not ks:
-        raise ValueError("need at least one moment order")
-    for k in ks:
-        if not isinstance(k, int) or not 1 <= k <= 16:
-            raise ValueError(f"moment orders must be integers in [1, 16], got {k!r}")
-    return ks
+from .sweep import check_finite, check_ks, run_digest, segments, sweep_segment
 
 
 def partition_plan(
@@ -44,28 +26,14 @@ def partition_plan(
 
     Each entry is (segment over anchors (lo, hi], weight range (lo, hi+h]).
     """
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    plan = []
-    a = 0
-    while a < X:
-        b = min(a + segment_size, X)
-        plan.append((Segment(a, b), (a, b + h)))
-        a = b
-    return plan
+    return [(Segment(int(a) - 1, int(b) - 1), (int(a) - 1, int(b) - 1 + h))
+            for a, b in segments(1.0, X + 1.0, segment_size)]
 
 
-def _sum_segment(task) -> dict[int, float]:
-    lo, hi, h, ks, sieve = task
-    ns, ws = sieve.events(lo, hi + h)
-    lam = np.zeros(hi + h - lo, dtype=np.float64)
-    if len(ns):
-        lam[ns - lo - 1] = ws
-    prefix = np.concatenate(([0.0], np.cumsum(lam)))
-    width = hi - lo
-    window = prefix[h + 1 : h + width + 1] - prefix[1 : width + 1]
-    dev = window - float(h)
-    return {k: math.fsum(dev**k) for k in ks}
+def sum_tasks(X: int, h: int, ks, sieve, segment_size: int) -> list[tuple]:
+    """Sweep tasks of moment_sum: anchors (lo, hi] become x in [lo+1, hi+1]."""
+    return [(a, b, 0.0, float(h), ks, sieve)
+            for a, b in segments(1.0, X + 1.0, segment_size)]
 
 
 def moment_sum(
@@ -80,47 +48,15 @@ def moment_sum(
     resume: bool = False,
 ) -> dict[int, float]:
     """Discrete moment sum over anchors n = 1..X for each order in ks."""
-    ks = _check_ks(ks)
+    ks = check_ks(ks)
     if not (isinstance(X, int) and isinstance(h, int)):
         raise ValueError("sum mode requires integer X and h")
     if not 1 <= h <= X:
         raise ValueError(f"need 1 <= h <= X, got h={h}, X={X}")
     sieve = sieve if sieve is not None else MangoldtSieve(segment_size)
-    plan = partition_plan(X, h, segment_size)
-    tasks = [(seg.lo, seg.hi, h, ks, sieve) for seg, _ in plan]
-    digest = config_digest(
-        {"mode": "fixed-sum", "x": X, "h": h, "ks": list(ks),
-         "segment_size": segment_size, "salt": __version_salt__}
-    )
-    return run_tasks(_sum_segment, tasks, ks, threads, checkpoint, resume, digest)
-
-
-def _integral_fixed_segment(task) -> dict[int, float]:
-    a, b, h, ks, sieve = task
-    # Window state at x = a: weights of prime powers m in (a, a+h].
-    ns0, ws0 = sieve.events(math.floor(a), math.floor(a + h))
-    in_window = (ns0 > a) & (ns0 <= a + h)
-    s0 = math.fsum(ws0[in_window])
-
-    ns, ws = sieve.events(math.floor(a), math.floor(b + h) + 1)
-    ns = ns.astype(np.float64)
-    enter_x = ns - h
-    enter_keep = (enter_x > a) & (enter_x < b)
-    leave_keep = (ns > a) & (ns < b)
-    coords = np.concatenate([ns[leave_keep], enter_x[enter_keep]])
-    signed = np.concatenate([-ws[leave_keep], ws[enter_keep]])
-    kinds = np.concatenate(
-        [np.zeros(int(leave_keep.sum())), np.ones(int(enter_keep.sum()))]
-    )
-    order = np.lexsort((kinds, coords))  # ties: leave before enter
-    coords = coords[order]
-    signed = signed[order]
-
-    bounds = np.concatenate(([a], coords, [b]))
-    s_vals = np.concatenate(([s0], s0 + np.cumsum(signed)))
-    lengths = np.diff(bounds)
-    dev = s_vals - h
-    return {k: math.fsum(dev**k * lengths) for k in ks}
+    tasks = sum_tasks(X, h, ks, sieve, segment_size)
+    digest = run_digest("fixed-sum", ks, segment_size, x=X, h=h)
+    return run_tasks(sweep_segment, tasks, ks, threads, checkpoint, resume, digest)
 
 
 def moment_integral_fixed(
@@ -135,25 +71,14 @@ def moment_integral_fixed(
     resume: bool = False,
 ) -> dict[int, float]:
     """Exact integral of (window weight - h)^k over x in [1, X]."""
-    ks = _check_ks(ks)
+    ks = check_ks(ks)
+    check_finite(X=X, h=h)
     if not 0 <= h <= X:
         raise ValueError(f"need 0 <= h <= X, got h={h}, X={X}")
     if X < 1:
         raise ValueError("X must be >= 1")
     sieve = sieve if sieve is not None else MangoldtSieve(segment_size)
-    bounds = [1.0]
-    while bounds[-1] < X:
-        bounds.append(min(bounds[-1] + segment_size, float(X)))
-    tasks = [
-        (bounds[i], bounds[i + 1], float(h), ks, sieve)
-        for i in range(len(bounds) - 1)
-    ]
-    if not tasks:  # X == 1: empty integration domain
-        return {k: 0.0 for k in ks}
-    digest = config_digest(
-        {"mode": "fixed-integral", "x": X, "h": h, "ks": list(ks),
-         "segment_size": segment_size, "salt": __version_salt__}
-    )
-    return run_tasks(
-        _integral_fixed_segment, tasks, ks, threads, checkpoint, resume, digest
-    )
+    tasks = [(a, b, 0.0, float(h), ks, sieve)
+             for a, b in segments(1.0, X, segment_size)]
+    digest = run_digest("fixed-integral", ks, segment_size, x=X, h=h)
+    return run_tasks(sweep_segment, tasks, ks, threads, checkpoint, resume, digest)

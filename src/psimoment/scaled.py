@@ -1,13 +1,9 @@
-"""Proportional-window moments, integrated exactly by an event sweep.
+"""Proportional-window moments, integrated exactly by the piece sweep.
 
 The window at position x is (x, (1+delta)x].  Its weight S(x) changes only
 where a prime power m enters (x = m/(1+delta)) or leaves (x = m), so the
-integrand (S - delta*x)^k is polynomial between consecutive events and each
-piece has the closed-form antiderivative -(S - delta*x)^(k+1)/((k+1)delta).
-
-Enter coordinates are floats; coinciding events are processed leave-first,
-which only fixes ordering determinism since zero-length pieces contribute
-nothing.
+integrand (S - delta*x)^k is polynomial between consecutive events.  This is
+the sweep of :mod:`psimoment.sweep` with beta = 0.
 """
 
 from __future__ import annotations
@@ -15,15 +11,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .checkpoint import config_digest
 from .runner import run_tasks
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
-
-__version_salt__ = 1
-
-from .fixed import _check_ks
+from .sweep import (
+    check_finite,
+    check_ks,
+    run_digest,
+    segments,
+    sweep_segment,
+    window_events,
+)
 
 
 @dataclass(frozen=True)
@@ -46,15 +43,14 @@ def scaled_partition_plan(
     Each entry is ((a, b], integer weight range (floor(a), ceil(b*(1+delta))]).
     """
     _check_delta(delta)
-    if segment_size < 1:
-        raise ValueError("segment_size must be >= 1")
-    plan = []
-    a = 1.0
-    while a < X:
-        b = min(a + segment_size, float(X))
-        plan.append(((a, b), (math.floor(a), math.ceil(b * (1.0 + delta)) + 1)))
-        a = b
-    return plan
+    return [((a, b), (math.floor(a), math.ceil(b * (1.0 + delta)) + 1))
+            for a, b in segments(1.0, X, segment_size)]
+
+
+def scaled_tasks(X: float, delta: float, ks, sieve, segment_size: int) -> list[tuple]:
+    """Sweep tasks of moment_integral_scaled over [1, X]."""
+    return [(a, b, float(delta), 0.0, ks, sieve)
+            for a, b in segments(1.0, X, segment_size)]
 
 
 def initial_window_sum(x: float, delta: float, sieve) -> float:
@@ -63,55 +59,18 @@ def initial_window_sum(x: float, delta: float, sieve) -> float:
     Membership uses the float event coordinate m/(1+delta) so it is exactly
     consistent with the sweep's enter events.
     """
-    ns, ws = sieve.events(math.floor(x), math.ceil(x * (1.0 + delta)) + 1)
-    inside = (ns > x) & (ns / (1.0 + delta) <= x)
-    return math.fsum(ws[inside])
-
-
-def _segment_events(a, b, delta, sieve, include_end: bool):
-    """Sorted event coordinates and signed weights for x in (a, b)."""
-    ns, ws = sieve.events(math.floor(a), math.ceil(b * (1.0 + delta)) + 1)
-    ns = ns.astype(np.float64)
-    enter_x = ns / (1.0 + delta)
-    if include_end:
-        enter_keep = (enter_x > a) & (enter_x <= b)
-        leave_keep = (ns > a) & (ns <= b)
-    else:
-        enter_keep = (enter_x > a) & (enter_x < b)
-        leave_keep = (ns > a) & (ns < b)
-    coords = np.concatenate([ns[leave_keep], enter_x[enter_keep]])
-    signed = np.concatenate([-ws[leave_keep], ws[enter_keep]])
-    kinds = np.concatenate(
-        [np.zeros(int(leave_keep.sum())), np.ones(int(enter_keep.sum()))]
-    )
-    order = np.lexsort((kinds, coords))
-    return coords[order], signed[order], kinds[order]
+    return window_events(x, x, delta, 0.0, sieve)[0]
 
 
 def merged_event_stream(X: float, delta: float, sieve=None) -> list[SweepEvent]:
     """All window-boundary crossings for x in (1, X], nondecreasing in x."""
     _check_delta(delta)
     sieve = sieve if sieve is not None else MangoldtSieve()
-    coords, signed, kinds = _segment_events(1.0, float(X), delta, sieve, True)
-    return [
-        SweepEvent(float(x), "leave" if kind == 0 else "enter", float(abs(w)))
-        for x, w, kind in zip(coords, signed, kinds)
-    ]
-
-
-def _scaled_segment(task) -> dict[int, float]:
-    a, b, delta, ks, sieve = task
-    s0 = initial_window_sum(a, delta, sieve)
-    coords, signed, _ = _segment_events(a, b, delta, sieve, False)
-    bounds = np.concatenate(([a], coords, [b]))
-    s_vals = np.concatenate(([s0], s0 + np.cumsum(signed)))
-    u_lo = s_vals - delta * bounds[:-1]
-    u_hi = s_vals - delta * bounds[1:]
-    out = {}
-    for k in ks:
-        contrib = (u_lo ** (k + 1) - u_hi ** (k + 1)) / ((k + 1) * delta)
-        out[k] = math.fsum(contrib)
-    return out
+    # The events below the next float after X are exactly those at x <= X.
+    end = math.nextafter(float(X), math.inf)
+    _, coords, signed = window_events(1.0, end, delta, 0.0, sieve)
+    return [SweepEvent(x, "enter" if w > 0 else "leave", abs(w))
+            for x, w in zip(coords.tolist(), signed.tolist())]
 
 
 def moment_integral_scaled(
@@ -126,17 +85,12 @@ def moment_integral_scaled(
     resume: bool = False,
 ) -> dict[int, float]:
     """Exact integral of (S(x) - delta*x)^k over x in [1, X], per order k."""
-    ks = _check_ks(ks)
+    ks = check_ks(ks)
+    check_finite(X=X, delta=delta)
     _check_delta(delta)
     if X < 1:
         raise ValueError("X must be >= 1")
     sieve = sieve if sieve is not None else MangoldtSieve(segment_size)
-    plan = scaled_partition_plan(X, delta, segment_size) if X > 1 else []
-    tasks = [(a, b, float(delta), ks, sieve) for (a, b), _ in plan]
-    if not tasks:
-        return {k: 0.0 for k in ks}
-    digest = config_digest(
-        {"mode": "scaled-integral", "x": X, "delta": delta, "ks": list(ks),
-         "segment_size": segment_size, "salt": __version_salt__}
-    )
-    return run_tasks(_scaled_segment, tasks, ks, threads, checkpoint, resume, digest)
+    tasks = scaled_tasks(X, delta, ks, sieve, segment_size)
+    digest = run_digest("scaled-integral", ks, segment_size, x=X, delta=delta)
+    return run_tasks(sweep_segment, tasks, ks, threads, checkpoint, resume, digest)

@@ -1,0 +1,115 @@
+"""One piece sweep behind every moment mode.
+
+Each mode integrates u^k with u = S(x) - delta*x - beta, where S(x) is the
+weight of the prime powers m in the window (x, (1+delta)x + beta]: fixed
+windows use delta = 0 and beta = h, proportional windows use delta and
+beta = 0.  A prime power leaves the window at x = m and enters it at
+x = (m - beta)/(1+delta), so S is constant between consecutive events and u
+is linear on each piece.  The integral is an exact sum over pieces.
+
+Every segment rebuilds its window state from one sieve call, so segments are
+independent and the ordered reduction in :mod:`psimoment.runner` gives the
+same bits for any worker count.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .checkpoint import config_digest
+
+__version_salt__ = 2  # bump to invalidate old checkpoints on algorithm change
+
+MAX_ORDER = 16
+
+
+def check_ks(ks) -> tuple[int, ...]:
+    ks = tuple(ks)
+    if not ks:
+        raise ValueError("need at least one moment order")
+    for k in ks:
+        if not isinstance(k, int) or not 1 <= k <= MAX_ORDER:
+            raise ValueError(
+                f"moment orders must be integers in [1, {MAX_ORDER}], got {k!r}")
+    return ks
+
+
+def check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def run_digest(mode: str, ks, segment_size: int, **params) -> str:
+    """Checkpoint digest of one run, salted with the sweep's version."""
+    return config_digest({"mode": mode, "ks": list(ks), "segment_size": segment_size,
+                          "salt": __version_salt__, **params})
+
+
+def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
+    """Consecutive (a, b) pieces of length at most size covering [lo, hi]."""
+    if size < 1:
+        raise ValueError("segment_size must be >= 1")
+    out = []
+    a = float(lo)
+    while a < hi:
+        b = min(a + size, float(hi))
+        out.append((a, b))
+        a = b
+    return out
+
+
+def window_events(a: float, b: float, delta: float, beta: float, sieve):
+    """Window weight at x = a and the events for x in (a, b), in sweep order.
+
+    Returns (s0, coords, signed): coords nondecreasing, a leaving prime power
+    with weight -w, an entering one with +w, leaves first on equal coords.
+    """
+    ns, ws = sieve.events(math.floor(a), math.ceil((1.0 + delta) * b + beta) + 1)
+    leave = ns.astype(np.float64)
+    enter = (leave - beta) / (1.0 + delta)
+    # Both coordinates rise with m, so each condition selects a slice.
+    l0, l1 = np.searchsorted(leave, a, "right"), np.searchsorted(leave, b, "left")
+    e0, e1 = np.searchsorted(enter, a, "right"), np.searchsorted(enter, b, "left")
+    s0 = math.fsum(ws[l0:e0])  # m > a and entered at or before a
+    coords = np.concatenate([leave[l0:l1], enter[e0:e1]])
+    signed = np.concatenate([-ws[l0:l1], ws[e0:e1]])
+    # A stable sort merges the two sorted runs in one linear pass and keeps
+    # leaves, which come first, ahead of enters at equal coordinates.
+    order = np.argsort(coords, kind="stable")
+    return s0, coords[order], signed[order]
+
+
+def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:
+    """Sum over pieces of the integral of u^k, u linear from u_lo to u_hi.
+
+    A piece of length L integrates to L*P_k/(k+1) with
+    P_k = sum_j u_lo^j u_hi^(k-j) = u_hi*P_(k-1) + u_lo^k; unlike
+    (u_lo^(k+1) - u_hi^(k+1))/((k+1)*slope) this does not cancel as
+    u_lo - u_hi -> 0.  The length is folded into both running terms.
+    """
+    q = np.array(length, dtype=np.float64)  # L*P_k
+    r = q.copy()  # L*u_lo^k
+    out = {}
+    for k in range(1, max(ks) + 1):
+        q *= u_hi
+        r *= u_lo
+        q += r
+        if k in ks:
+            out[k] = math.fsum(q) / (k + 1)
+    return out
+
+
+def sweep_segment(task) -> dict[int, float]:
+    """Per-order integrals of u^k over x in [a, b] for one segment."""
+    a, b, delta, beta, ks, sieve = task
+    s0, coords, signed = window_events(a, b, delta, beta, sieve)
+    x = np.concatenate(([a], coords, [b]))
+    u = np.concatenate(([s0 - beta], signed))
+    del coords, signed
+    np.cumsum(u, out=u)  # S - beta on each piece
+    u_lo, u_hi, length = u - delta * x[:-1], u - delta * x[1:], np.diff(x)
+    del x, u
+    return power_sums(u_lo, u_hi, length, ks)

@@ -1,9 +1,13 @@
 import json
+import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import psimoment
 from psimoment import cli
 from psimoment.report import from_csv
 
@@ -98,6 +102,21 @@ def test_reproduce_refuses_long_run(capsys):
     assert "confirm-long" in err
 
 
+def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8",
+                        ("scaled-integral", 10**4, 0.01))
+    timed = []
+    monkeypatch.setattr(cli, "sweep_segment", timed.append)
+    with caplog.at_level(logging.INFO, logger="psimoment"):
+        code = cli.main(["reproduce", "scaled-1e8", "--segment-size", "1024"])
+    assert code == 0
+    (a, b, *_), = timed
+    # The last of the 10 segments is a short remainder; the one before is full.
+    assert (a, b) == (1 + 8 * 1024, 1 + 9 * 1024)
+    assert "projected wall time" in caplog.text
+    assert "actual wall time" in caplog.text
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["fixed", "--x", "100"])  # missing --h
@@ -128,9 +147,12 @@ def test_numeric_range_exit_code(monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    # The child imports the same package as this process, installed or not.
+    src = str(Path(psimoment.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "psimoment.cli", "sieve", "--limit", "10"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "4"
 
@@ -147,3 +169,15 @@ def test_checkpoint_resume_via_cli(tmp_path, capsys):
     b = tmp_path / "b.csv"
     run_cli(args + ["--resume", "--out", str(b)], capsys)
     assert strip_wall(a.read_text()) == strip_wall(b.read_text())
+
+
+@pytest.mark.parametrize("args", [
+    ["fixed", "--x", "inf", "--h", "10"],
+    ["fixed", "--x", "1000", "--h", "nan", "--mode", "integral"],
+    ["scaled", "--x", "nan", "--delta", "0.1"],
+    ["scaled", "--x", "1000", "--delta", "inf"],
+])
+def test_non_finite_input_exit_code(args):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(args)
+    assert exc.value.code == 2

@@ -121,3 +121,10 @@ def test_window_refresh_matches_psi_difference():
         (sieve.psi(n + 100) - sieve.psi(n) - 100) for n in range(1, 2001)
     )
     assert got[1] == pytest.approx(expected, abs=1e-8)
+
+
+@pytest.mark.parametrize("X,h", [(math.inf, 10.0), (math.nan, 10.0),
+                                 (100.0, math.inf), (100.0, math.nan)])
+def test_integral_fixed_rejects_non_finite(X, h):
+    with pytest.raises(ValueError, match="finite"):
+        moment_integral_fixed(X, h, [2])

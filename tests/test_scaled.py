@@ -128,3 +128,10 @@ def test_parallel_determinism():
     parallel = moment_integral_scaled(10**5, 0.01, [2, 4, 6], threads=8,
                                       segment_size=2**13)
     assert serial == parallel  # bit-identical
+
+
+@pytest.mark.parametrize("X,delta", [(math.nan, 0.1), (math.inf, 0.1),
+                                     (100.0, math.nan), (100.0, math.inf)])
+def test_rejects_non_finite(X, delta):
+    with pytest.raises(ValueError, match="finite"):
+        moment_integral_scaled(X, delta, [2])
