@@ -1,9 +1,11 @@
 """Moments of prime counts in short intervals.
 
-Library surface:
+The names exported here are the library API that README's Library section
+documents: the three moment computations, the asymptotic main terms and the
+sieve.  The modules behind them:
 
 * :mod:`psimoment.sieve` - segmented prime-power sieve and summatory sums
-* :mod:`psimoment.sweep` - the piece sweep shared by every moment mode
+* :mod:`psimoment.sweep` - the piece sweep and mode windows behind every moment
 * :mod:`psimoment.fixed` - fixed-length window moments (sum and integral)
 * :mod:`psimoment.scaled` - proportional-window moment integrals
 * :mod:`psimoment.predictors` - asymptotic main terms and constants
@@ -13,11 +15,9 @@ Library surface:
 
 __version__ = "0.1.0"
 
-from .accum import NeumaierSum
-from .fixed import moment_integral_fixed, moment_sum, partition_plan
+from .fixed import moment_integral_fixed, moment_sum
 from .predictors import (
     CONSTANTS,
-    adaptive_simpson,
     cramer_variance,
     fixed_main_term,
     fixed_main_term_from_one,
@@ -25,34 +25,14 @@ from .predictors import (
     poly_exp_integral,
     scaled_main_term,
 )
-from .scaled import (
-    initial_window_sum,
-    merged_event_stream,
-    moment_integral_scaled,
-    scaled_partition_plan,
-)
-from .sieve import (
-    BasePrimes,
-    LambdaEvent,
-    MangoldtSieve,
-    Segment,
-    ZeroMangoldt,
-    lambda_events,
-    lambda_segment,
-    prime_count,
-    small_primes,
-)
+from .scaled import moment_integral_scaled
+from .sieve import MangoldtSieve, ZeroMangoldt, prime_count
 
 __all__ = [
     "__version__",
-    "NeumaierSum",
     "moment_sum",
     "moment_integral_fixed",
-    "partition_plan",
     "moment_integral_scaled",
-    "merged_event_stream",
-    "initial_window_sum",
-    "scaled_partition_plan",
     "CONSTANTS",
     "gaussian_moment",
     "poly_exp_integral",
@@ -60,14 +40,7 @@ __all__ = [
     "scaled_main_term",
     "fixed_main_term_from_one",
     "cramer_variance",
-    "adaptive_simpson",
-    "BasePrimes",
-    "Segment",
-    "LambdaEvent",
     "MangoldtSieve",
     "ZeroMangoldt",
-    "small_primes",
-    "lambda_segment",
-    "lambda_events",
     "prime_count",
 ]

@@ -5,18 +5,26 @@ config, followed by one record per completed segment holding its per-order
 partial sums as hex floats.  Hex floats round-trip exactly, and the final
 reduction is recomputed from the records in segment order, so a resumed run
 is bit-identical to an uninterrupted one.
+
+Each record is one newline-terminated line, written and fsynced in one
+append.  A crash in the middle of an append leaves a final line without its
+newline; loading drops that line and cuts it from the file, so the segment
+is recomputed and the next append starts on a fresh line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 from typing import Any
 
 from .errors import CheckpointError
 
 CHECKPOINT_VERSION = 1
+
+log = logging.getLogger(__name__)
 
 
 def config_digest(payload: dict[str, Any]) -> str:
@@ -28,14 +36,17 @@ def config_digest(payload: dict[str, Any]) -> str:
 def load(path: str, digest: str) -> dict[int, dict[int, float]]:
     """Completed segment values from path, keyed segment index -> {k: value}.
 
-    Raises CheckpointError on version or digest mismatch.
+    Raises CheckpointError on version or digest mismatch, or on a record
+    that is damaged anywhere but at the torn end of the file.
     """
-    done: dict[int, dict[int, float]] = {}
-    with open(path) as fh:
-        header_line = fh.readline()
-        if not header_line:
-            raise CheckpointError(f"{path}: empty checkpoint file")
-        header = json.loads(header_line)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    complete = data.rfind(b"\n") + 1  # bytes up to the last whole line
+    lines = data[:complete].decode().splitlines()
+    if not lines:
+        raise CheckpointError(f"{path}: empty checkpoint file")
+    try:
+        header = json.loads(lines[0])
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"{path}: checkpoint version {header.get('version')} != "
@@ -45,14 +56,20 @@ def load(path: str, digest: str) -> dict[int, dict[int, float]]:
             raise CheckpointError(
                 f"{path}: config digest mismatch; refusing to resume"
             )
-        for line in fh:
-            line = line.strip()
-            if not line:
+        done = {}
+        for line in lines[1:]:
+            if not line.strip():
                 continue
             rec = json.loads(line)
             done[int(rec["segment"])] = {
                 int(k): float.fromhex(v) for k, v in rec["values"].items()
             }
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: damaged checkpoint record: {exc}") from exc
+    if complete < len(data):
+        log.warning("%s: dropping a torn final record of %d bytes",
+                    path, len(data) - complete)
+        os.truncate(path, complete)
     return done
 
 
@@ -64,18 +81,20 @@ class CheckpointWriter:
         mode = "w" if fresh or not os.path.exists(path) else "a"
         self._fh = open(path, mode)
         if mode == "w":
-            self._fh.write(
-                json.dumps({"version": CHECKPOINT_VERSION, "digest": digest}) + "\n"
-            )
-            self._fh.flush()
+            self._write(json.dumps({"version": CHECKPOINT_VERSION, "digest": digest}))
 
     def append(self, segment: int, values: dict[int, float]) -> None:
         rec = {
             "segment": segment,
             "values": {str(k): float(v).hex() for k, v in values.items()},
         }
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        self._write(json.dumps(rec, sort_keys=True))
+
+    def _write(self, line: str) -> None:
+        # Durable before the next segment counts on it.
+        self._fh.write(line + "\n")
         self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         self._fh.close()

@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from . import fixed as fixed_mod
-from . import predictors, scaled as scaled_mod
+from . import predictors, scaled as scaled_mod, sweep
 from .errors import CheckpointError, NumericRangeError
 from .report import MomentReport, MomentRow, emit, render_table
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, prime_count
@@ -127,31 +127,34 @@ def _build_report(mode, x, param, ks, actual, wall) -> MomentReport:
                         wall_seconds=wall, version=__version__)
 
 
-def _run_fixed(args) -> MomentReport:
-    t0 = time.monotonic()
-    if args.mode == "sum":
-        x, h = int(args.x), int(args.h)
-        actual = fixed_mod.moment_sum(
-            x, h, args.k, threads=args.threads, segment_size=args.segment_size,
-            checkpoint=args.checkpoint, resume=args.resume)
-        mode = "fixed-sum"
-    else:
-        x, h = args.x, args.h
-        actual = fixed_mod.moment_integral_fixed(
-            x, h, args.k, threads=args.threads, segment_size=args.segment_size,
-            checkpoint=args.checkpoint, resume=args.resume)
-        mode = "fixed-integral"
-    return _build_report(mode, x, h, args.k, actual, time.monotonic() - t0)
+# mode -> (module, function).  The function is looked up when the run starts,
+# so a replaced module attribute (a test double, a tracer) is the one called.
+MOMENT_FUNCTIONS = {
+    "fixed-sum": (fixed_mod, "moment_sum"),
+    "fixed-integral": (fixed_mod, "moment_integral_fixed"),
+    "scaled-integral": (scaled_mod, "moment_integral_scaled"),
+}
 
 
-def _run_scaled(args) -> MomentReport:
+def _moment_inputs(args) -> tuple[str, float, float]:
+    """(mode, x, h or delta) of a fixed or scaled command."""
+    if args.command == "scaled":
+        return "scaled-integral", args.x, args.delta
+    if args.mode == "integral":
+        return "fixed-integral", args.x, args.h
+    if not (args.x.is_integer() and args.h.is_integer()):
+        raise ValueError(
+            f"sum mode needs integral --x and --h, got {args.x}, {args.h}")
+    return "fixed-sum", int(args.x), int(args.h)
+
+
+def _run_moments(mode, x, param, ks, args) -> MomentReport:
+    module, name = MOMENT_FUNCTIONS[mode]
     t0 = time.monotonic()
-    actual = scaled_mod.moment_integral_scaled(
-        args.x, args.delta, args.k, threads=args.threads,
-        segment_size=args.segment_size, checkpoint=args.checkpoint,
-        resume=args.resume)
-    return _build_report("scaled-integral", args.x, args.delta, args.k,
-                         actual, time.monotonic() - t0)
+    actual = getattr(module, name)(
+        x, param, ks, threads=args.threads, segment_size=args.segment_size,
+        checkpoint=args.checkpoint, resume=args.resume)
+    return _build_report(mode, x, param, ks, actual, time.monotonic() - t0)
 
 
 def _run_predict(args) -> MomentReport:
@@ -197,11 +200,7 @@ REPRODUCE_TABLES = {
 
 def _projected_seconds(mode, x, param, ks, segment_size, threads) -> tuple[float, int]:
     """Time the last full-size segment, the costliest kind, and extrapolate."""
-    sieve = MangoldtSieve(segment_size)
-    if mode == "fixed-sum":
-        tasks = fixed_mod.sum_tasks(int(x), int(param), ks, sieve, segment_size)
-    else:
-        tasks = scaled_mod.scaled_tasks(x, param, ks, sieve, segment_size)
+    tasks = sweep.tasks(mode, x, param, ks, segment_size)
     task = max(tasks[-2:], key=lambda t: t[1] - t[0])  # skip a short remainder
     t0 = time.monotonic()
     sweep_segment(task)
@@ -220,20 +219,9 @@ def _run_reproduce(args) -> MomentReport:
             f"projected run time {projected / 60:.0f} min exceeds 30 min; "
             "re-run with --confirm-long to proceed"
         )
-    t0 = time.monotonic()
-    if mode == "fixed-sum":
-        actual = fixed_mod.moment_sum(
-            int(x), int(param), ks, threads=args.threads,
-            segment_size=args.segment_size, checkpoint=args.checkpoint,
-            resume=args.resume)
-    else:
-        actual = scaled_mod.moment_integral_scaled(
-            x, param, ks, threads=args.threads,
-            segment_size=args.segment_size, checkpoint=args.checkpoint,
-            resume=args.resume)
-    wall = time.monotonic() - t0
-    log.info("actual wall time: %.0f s (projected %.0f s)", wall, projected)
-    report = _build_report(mode, x, param, ks, actual, wall)
+    report = _run_moments(mode, x, param, ks, args)
+    log.info("actual wall time: %.0f s (projected %.0f s)",
+             report.wall_seconds, projected)
     sys.stdout.write(render_table(report))
     return report
 
@@ -241,7 +229,10 @@ def _run_reproduce(args) -> MomentReport:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "resume", False) and not args.checkpoint:
+        parser.error("--resume needs --checkpoint")
     try:
         if args.command == "sieve":
             if args.limit < 2:
@@ -254,10 +245,8 @@ def main(argv=None) -> int:
             else:
                 print(count)
             return 0
-        if args.command == "fixed":
-            report = _run_fixed(args)
-        elif args.command == "scaled":
-            report = _run_scaled(args)
+        if args.command in ("fixed", "scaled"):
+            report = _run_moments(*_moment_inputs(args), args.k, args)
         elif args.command == "predict":
             report = _run_predict(args)
             if report is None or args.format is None:

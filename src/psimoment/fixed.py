@@ -14,26 +14,8 @@ over [lo+1, hi+1].
 
 from __future__ import annotations
 
-from .runner import run_tasks
-from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, Segment
-from .sweep import check_finite, check_ks, run_digest, segments, sweep_segment
-
-
-def partition_plan(
-    X: int, h: int, segment_size: int = DEFAULT_SEGMENT_SIZE
-) -> list[tuple[Segment, tuple[int, int]]]:
-    """Covering partition of anchors 1..X with each segment's weight range.
-
-    Each entry is (segment over anchors (lo, hi], weight range (lo, hi+h]).
-    """
-    return [(Segment(int(a) - 1, int(b) - 1), (int(a) - 1, int(b) - 1 + h))
-            for a, b in segments(1.0, X + 1.0, segment_size)]
-
-
-def sum_tasks(X: int, h: int, ks, sieve, segment_size: int) -> list[tuple]:
-    """Sweep tasks of moment_sum: anchors (lo, hi] become x in [lo+1, hi+1]."""
-    return [(a, b, 0.0, float(h), ks, sieve)
-            for a, b in segments(1.0, X + 1.0, segment_size)]
+from . import sweep
+from .sieve import DEFAULT_SEGMENT_SIZE
 
 
 def moment_sum(
@@ -48,15 +30,12 @@ def moment_sum(
     resume: bool = False,
 ) -> dict[int, float]:
     """Discrete moment sum over anchors n = 1..X for each order in ks."""
-    ks = check_ks(ks)
     if not (isinstance(X, int) and isinstance(h, int)):
         raise ValueError("sum mode requires integer X and h")
     if not 1 <= h <= X:
         raise ValueError(f"need 1 <= h <= X, got h={h}, X={X}")
-    sieve = sieve if sieve is not None else MangoldtSieve(segment_size)
-    tasks = sum_tasks(X, h, ks, sieve, segment_size)
-    digest = run_digest("fixed-sum", ks, segment_size, x=X, h=h)
-    return run_tasks(sweep_segment, tasks, ks, threads, checkpoint, resume, digest)
+    return sweep.run("fixed-sum", X, h, ks, sieve, threads, segment_size,
+                     checkpoint, resume)
 
 
 def moment_integral_fixed(
@@ -71,14 +50,10 @@ def moment_integral_fixed(
     resume: bool = False,
 ) -> dict[int, float]:
     """Exact integral of (window weight - h)^k over x in [1, X]."""
-    ks = check_ks(ks)
-    check_finite(X=X, h=h)
+    sweep.check_finite(X=X, h=h)
     if not 0 <= h <= X:
         raise ValueError(f"need 0 <= h <= X, got h={h}, X={X}")
     if X < 1:
         raise ValueError("X must be >= 1")
-    sieve = sieve if sieve is not None else MangoldtSieve(segment_size)
-    tasks = [(a, b, 0.0, float(h), ks, sieve)
-             for a, b in segments(1.0, X, segment_size)]
-    digest = run_digest("fixed-integral", ks, segment_size, x=X, h=h)
-    return run_tasks(sweep_segment, tasks, ks, threads, checkpoint, resume, digest)
+    return sweep.run("fixed-integral", X, h, ks, sieve, threads, segment_size,
+                     checkpoint, resume)

@@ -14,10 +14,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import QuadratureError
+from .sweep import check_ks
 
 EULER_GAMMA = 0.57721566490153286061
-
-MAX_K = 16
 
 
 @dataclass(frozen=True)
@@ -34,16 +33,9 @@ CONSTANTS = Constants(
 )
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"moment order must be a positive integer, got {k!r}")
-    if k > MAX_K:
-        raise ValueError(f"moment order capped at {MAX_K}, got {k}")
-
-
 def gaussian_moment(k: int) -> float:
     """k-th central moment of the standard normal: (k-1)!! for even k, 0 odd."""
-    _check_k(k)
+    check_ks([k])
     if k % 2:
         return 0.0
     v = 1.0
@@ -72,7 +64,7 @@ def fixed_main_term(X: float, h: float, k: int) -> float:
     Equals gaussian_moment(k) * h^(k/2+1) * int over [norm_scale, X/h] of
     log(x/norm_scale)^(k/2) dx, evaluated in closed form.
     """
-    _check_k(k)
+    check_ks([k])
     if X <= 0 or h <= 0:
         raise ValueError("X and h must be positive")
     ratio = X / h
@@ -94,7 +86,7 @@ def fixed_main_term(X: float, h: float, k: int) -> float:
 
 def scaled_main_term(X: float, delta: float, k: int) -> float:
     """Main term for the proportional-window moment integral at ratio delta."""
-    _check_k(k)
+    check_ks([k])
     if X <= 0 or delta <= 0:
         raise ValueError("X and delta must be positive")
     if delta >= 1.0 / CONSTANTS.norm_scale:
@@ -121,7 +113,7 @@ def fixed_main_term_from_one(N: float, h: float, k: int) -> float:
     (log(x/h) + log_offset)^(k/2) dx; the integrand is a signed integer
     power, so the lower tail below x = norm_scale*h contributes with sign.
     """
-    _check_k(k)
+    check_ks([k])
     if N < 1 or h < 1:
         raise ValueError("N and h must be >= 1")
     if k % 2:

@@ -101,7 +101,7 @@ def to_json(report: MomentReport) -> str:
 
 
 def render_table(report: MomentReport) -> str:
-    """Human-readable three-column table (order, actual, formula, ratio)."""
+    """Human-readable four-column table (order, actual, formula, ratio)."""
     lines = [f"mode={report.mode} x={report.x:g} param={report.h_or_delta:g}"]
     lines.append(f"{'k':>3}  {'actual':>14}  {'formula':>14}  {'ratio':>8}")
     for r in report.rows:

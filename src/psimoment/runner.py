@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Sequence
 
 from .accum import NeumaierSum
@@ -54,14 +54,13 @@ def run_tasks(
         else:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 futures = {pool.submit(worker, tasks[i]): i for i in pending}
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for fut in finished:
-                        i = futures[fut]
-                        done[i] = fut.result()
-                        if writer:
-                            writer.append(i, done[i])
+                # as_completed waits on each future once; a wait() on the
+                # remaining set per completion costs O(segments^2).
+                for fut in as_completed(futures):
+                    i = futures[fut]
+                    done[i] = fut.result()
+                    if writer:
+                        writer.append(i, done[i])
     finally:
         if writer:
             writer.close()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,11 +19,6 @@ from .accum import NeumaierSum
 log = logging.getLogger(__name__)
 
 DEFAULT_SEGMENT_SIZE = 1 << 22
-
-
-class LambdaEvent(NamedTuple):
-    n: int
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -109,21 +103,13 @@ def lambda_segment(seg: Segment, base: BasePrimes) -> tuple[np.ndarray, np.ndarr
     return prime_ns, prime_ws
 
 
-def lambda_events(seg: Segment, base: BasePrimes) -> list[LambdaEvent]:
-    """lambda_segment as a list of LambdaEvent (small ranges / tests)."""
-    ns, ws = lambda_segment(seg, base)
-    return [LambdaEvent(int(n), float(w)) for n, w in zip(ns, ws)]
-
-
 class MangoldtSieve:
     """Reusable segmented sieve; base primes grow lazily and are immutable
     once built.  Instances are picklable and safe to share across workers.
+    Ranges are sieved in chunks of DEFAULT_SEGMENT_SIZE integers.
     """
 
-    def __init__(self, segment_size: int = DEFAULT_SEGMENT_SIZE):
-        if segment_size < 1:
-            raise ValueError("segment_size must be positive")
-        self.segment_size = segment_size
+    def __init__(self):
         self._base: BasePrimes | None = None
 
     def base_primes(self, limit: int) -> BasePrimes:
@@ -142,7 +128,7 @@ class MangoldtSieve:
         ws_parts = []
         a = lo
         while a < hi:
-            b = min(a + self.segment_size, hi)
+            b = min(a + DEFAULT_SEGMENT_SIZE, hi)
             ns, ws = lambda_segment(Segment(a, b), base)
             ns_parts.append(ns)
             ws_parts.append(ws)
@@ -157,7 +143,7 @@ class MangoldtSieve:
         total = NeumaierSum()
         a = 0
         while a < top:
-            b = min(a + self.segment_size, top)
+            b = min(a + DEFAULT_SEGMENT_SIZE, top)
             _, ws = self.events(a, b)
             total.add(math.fsum(ws))
             a = b
@@ -187,7 +173,7 @@ class ZeroMangoldt:
         return 0.0
 
 
-def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
+def prime_count(limit: int) -> int:
     """Number of primes <= limit (segmented, for CLI smoke tests)."""
     if limit < 2:
         return 0
@@ -195,7 +181,7 @@ def prime_count(limit: int, segment_size: int = DEFAULT_SEGMENT_SIZE) -> int:
     count = 0
     a = 0
     while a < limit:
-        b = min(a + segment_size, limit)
+        b = min(a + DEFAULT_SEGMENT_SIZE, limit)
         count += int(np.count_nonzero(_prime_mask(a, b, base)))
         a = b
     return count

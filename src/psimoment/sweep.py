@@ -19,10 +19,26 @@ import math
 import numpy as np
 
 from .checkpoint import config_digest
+from .runner import run_tasks
+from .sieve import MangoldtSieve
 
 __version_salt__ = 2  # bump to invalidate old checkpoints on algorithm change
 
 MAX_ORDER = 16
+
+# A serial run keeps ~500 B per segment (its task tuple, its pending index and
+# its result dict), so 2^20 segments hold ~0.5 GB before any sweeping starts.
+# A pooled run also keeps a future per segment: ~2.3 KB, ~2.4 GB at the cap.
+MAX_SEGMENTS = 1 << 20
+
+# mode -> (name of its parameter, (X, param) -> (lo, hi, delta, beta)): the
+# sweep runs x over [lo, hi] with the window (x, (1+delta)x + beta].  Sum mode
+# is the integral over [1, X+1] (see psimoment.fixed).
+WINDOWS = {
+    "fixed-sum": ("h", lambda X, h: (1.0, X + 1.0, 0.0, float(h))),
+    "fixed-integral": ("h", lambda X, h: (1.0, X, 0.0, float(h))),
+    "scaled-integral": ("delta", lambda X, d: (1.0, X, float(d), 0.0)),
+}
 
 
 def check_ks(ks) -> tuple[int, ...]:
@@ -42,16 +58,14 @@ def check_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def run_digest(mode: str, ks, segment_size: int, **params) -> str:
-    """Checkpoint digest of one run, salted with the sweep's version."""
-    return config_digest({"mode": mode, "ks": list(ks), "segment_size": segment_size,
-                          "salt": __version_salt__, **params})
-
-
 def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
     """Consecutive (a, b) pieces of length at most size covering [lo, hi]."""
     if size < 1:
         raise ValueError("segment_size must be >= 1")
+    if (hi - lo) / size > MAX_SEGMENTS:
+        raise ValueError(
+            f"{hi - lo:g} / segment_size {size} exceeds {MAX_SEGMENTS} segments; "
+            "use a larger segment size")
     out = []
     a = float(lo)
     while a < hi:
@@ -59,6 +73,27 @@ def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
         out.append((a, b))
         a = b
     return out
+
+
+def tasks(mode: str, X, param, ks, segment_size: int, sieve=None) -> list[tuple]:
+    """The sweep_segment tasks of one run of mode over [1, X]."""
+    lo, hi, delta, beta = WINDOWS[mode][1](X, param)
+    sieve = sieve if sieve is not None else MangoldtSieve()
+    return [(a, b, delta, beta, ks, sieve) for a, b in segments(lo, hi, segment_size)]
+
+
+def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
+        checkpoint: str | None, resume: bool) -> dict[int, float]:
+    """Per-order moments of mode over [1, X], reduced in segment order.
+
+    The checkpoint digest is salted with the sweep's version and keeps the
+    values exactly as passed, so an int X and a float X are different runs.
+    """
+    ks = check_ks(ks)
+    work = tasks(mode, X, param, ks, segment_size, sieve)
+    digest = config_digest({"mode": mode, "ks": list(ks), "segment_size": segment_size,
+                            "salt": __version_salt__, "x": X, WINDOWS[mode][0]: param})
+    return run_tasks(sweep_segment, work, ks, threads, checkpoint, resume, digest)
 
 
 def window_events(a: float, b: float, delta: float, beta: float, sieve):

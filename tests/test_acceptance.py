@@ -13,15 +13,15 @@ import pytest
 from psimoment import (
     CONSTANTS,
     MangoldtSieve,
-    adaptive_simpson,
     fixed_main_term,
     gaussian_moment,
-    merged_event_stream,
     moment_integral_scaled,
     moment_sum,
     poly_exp_integral,
     scaled_main_term,
 )
+from psimoment.predictors import adaptive_simpson
+from psimoment.sweep import window_events
 
 import oracles
 
@@ -148,8 +148,9 @@ def test_property_suite():
 
     X, delta = 10**4, 0.1
     sieve = MangoldtSieve()
-    stream = merged_event_stream(X, delta, sieve)
-    net = math.fsum(e.weight if e.kind == "enter" else -e.weight for e in stream)
+    # The events of x in (1, X]: those below the next float after X.
+    _, _, signed = window_events(1.0, math.nextafter(X, math.inf), delta, 0.0, sieve)
+    net = math.fsum(signed)
     indep = (sieve.psi((1 + delta) * X) - sieve.psi(1 + delta)
              - (sieve.psi(X) - sieve.psi(1)))
     check("event conservation", abs(net - indep) < 1e-6,

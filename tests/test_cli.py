@@ -95,9 +95,10 @@ def test_threads_flag_identical_report(tmp_path, capsys):
 
 
 def test_reproduce_refuses_long_run(capsys):
-    # A deliberately tiny segment size inflates the projection far past 30 min.
+    # A deliberately tiny segment size inflates the projection far past 30 min
+    # (~3.7 h on 2 CPUs; 65536 projects only ~35 min, too close to the guard).
     code, out, err = run_cli(
-        ["reproduce", "ms-table", "--segment-size", "65536"], capsys)
+        ["reproduce", "ms-table", "--segment-size", "16384"], capsys)
     assert code == 2
     assert "confirm-long" in err
 
@@ -118,14 +119,25 @@ def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
 
 
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["fixed", "--x", "100"])  # missing --h
-    assert exc.value.code == 2
+    for args in (["fixed", "--x", "100"],  # missing --h
+                 # without --checkpoint there is nothing to resume from
+                 ["scaled", "--x", "100", "--delta", "0.1", "--resume"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
 
 
 def test_domain_error_exit_code(capsys):
-    code, out, err = run_cli(["fixed", "--x", "10", "--h", "20"], capsys)
-    assert code == 2
+    for args in (["fixed", "--x", "10", "--h", "20"],
+                 # sum mode would truncate these to integers
+                 ["fixed", "--x", "1000", "--h", "2.5"],
+                 ["fixed", "--x", "1000.9", "--h", "10"],
+                 # 10^10 segments: refused before any of them is built
+                 ["fixed", "--x", "1e10", "--h", "1e5", "--segment-size", "1"],
+                 ["reproduce", "ms-table", "--segment-size", "1"]):
+        code, out, err = run_cli(args, capsys)
+        assert code == 2, args
+        assert err.startswith("error: "), args
 
 
 def test_io_error_exit_code(capsys):

@@ -7,8 +7,8 @@ from psimoment import (
     ZeroMangoldt,
     moment_integral_fixed,
     moment_sum,
-    partition_plan,
 )
+from psimoment import sweep
 
 import oracles
 
@@ -76,21 +76,23 @@ def test_mode_consistency_1e6():
     assert i[2] == pytest.approx(s[2], rel=0.01)
 
 
-def test_partition_plan_single_segment():
-    plan = partition_plan(10, 3, segment_size=10)
-    assert len(plan) == 1
-    seg, (lam_lo, lam_hi) = plan[0]
-    assert (seg.lo, seg.hi) == (0, 10)
-    assert (lam_lo, lam_hi) == (0, 13)
+def test_partition_plan_single_segment(recording_sieve):
+    (task,) = sweep.tasks("fixed-sum", 10, 3, (2,), 10, recording_sieve)
+    # Anchors (0, 10] are x in [1, 11], windows (x, x + 3].
+    assert task[:4] == (1.0, 11.0, 0.0, 3.0)
+    sweep.sweep_segment(task)
+    # The windows of anchors 1..10 hold the weights in (1, 13].
+    ((lo, hi),) = recording_sieve.ranges
+    assert lo <= 1 and hi >= 13
 
 
 def test_partition_plan_coverage():
-    plan = partition_plan(100, 5, segment_size=30)
+    plan = sweep.tasks("fixed-sum", 100, 5, (2,), 30)
     assert len(plan) == 4
     covered = []
-    for seg, (lam_lo, lam_hi) in plan:
-        covered.extend(range(seg.lo + 1, seg.hi + 1))
-        assert lam_lo == seg.lo and lam_hi == seg.hi + 5
+    for a, b, delta, beta, *_ in plan:
+        covered.extend(range(int(a), int(b)))  # anchors (a - 1, b - 1]
+        assert (delta, beta) == (0.0, 5.0)
     assert covered == list(range(1, 101))
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from psimoment import (
     CONSTANTS,
-    adaptive_simpson,
     cramer_variance,
     fixed_main_term,
     fixed_main_term_from_one,
@@ -14,6 +13,7 @@ from psimoment import (
     scaled_main_term,
 )
 from psimoment.errors import QuadratureError
+from psimoment.predictors import adaptive_simpson
 
 
 def test_constants_identity():

@@ -3,14 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from psimoment import (
-    MangoldtSieve,
-    adaptive_simpson,
-    initial_window_sum,
-    merged_event_stream,
-    moment_integral_scaled,
-    scaled_partition_plan,
-)
+from psimoment import MangoldtSieve, moment_integral_scaled, sweep
+from psimoment.predictors import adaptive_simpson
+from psimoment.sweep import window_events
 
 import oracles
 
@@ -48,38 +43,38 @@ def test_domain_errors():
         moment_integral_scaled(100, 0.1, [])
 
 
+# window_events(1, up(X), ...) returns the events of x in (1, X]: those below
+# the next float after X.  Enters carry +weight, leaves -weight.
+def up(X):
+    return math.nextafter(X, math.inf)
+
+
 def test_merged_event_stream_hand_example():
-    stream = merged_event_stream(3, 0.5)
-    kinds = [(e.kind, e.x) for e in stream]
-    assert kinds == [
-        ("enter", pytest.approx(4 / 3)),
-        ("leave", 2.0),
-        ("enter", pytest.approx(2.0)),
-        ("enter", pytest.approx(8 / 3)),
-        ("leave", 3.0),
-    ]
-    assert stream[0].weight == pytest.approx(math.log(2))
-    assert stream[4].weight == pytest.approx(math.log(3))
+    _, coords, signed = window_events(1.0, up(3.0), 0.5, 0.0, MangoldtSieve())
+    assert coords.tolist() == pytest.approx([4 / 3, 2.0, 2.0, 8 / 3, 3.0])
+    assert coords[1] == 2.0 and coords[4] == 3.0  # leaves sit exactly at m
+    assert np.sign(signed).tolist() == [1, -1, 1, 1, -1]  # leave first on ties
+    assert signed[0] == pytest.approx(math.log(2))
+    assert signed[4] == pytest.approx(-math.log(3))
 
 
 def test_merged_event_stream_empty():
-    assert merged_event_stream(1.4, 0.1) == []
+    _, coords, signed = window_events(1.0, up(1.4), 0.1, 0.0, MangoldtSieve())
+    assert len(coords) == 0 and len(signed) == 0
 
 
 def test_enter_count_at_least_leave_count():
     for X, delta in [(100, 0.1), (1000, 0.03), (50, 0.5)]:
-        stream = merged_event_stream(X, delta)
-        enters = sum(e.kind == "enter" for e in stream)
-        leaves = sum(e.kind == "leave" for e in stream)
-        assert enters >= leaves
+        _, _, signed = window_events(1.0, up(X), delta, 0.0, MangoldtSieve())
+        assert np.count_nonzero(signed > 0) >= np.count_nonzero(signed < 0)
 
 
 def test_event_conservation():
     X, delta = 10**4, 0.1
     sieve = MangoldtSieve()
-    stream = merged_event_stream(X, delta, sieve)
-    entered = math.fsum(e.weight for e in stream if e.kind == "enter")
-    exited = math.fsum(e.weight for e in stream if e.kind == "leave")
+    _, _, signed = window_events(1.0, up(X), delta, 0.0, sieve)
+    entered = math.fsum(signed[signed > 0])
+    exited = -math.fsum(signed[signed < 0])
     expected = (
         sieve.psi((1 + delta) * X) - sieve.psi(1 + delta)
         - (sieve.psi(X) - sieve.psi(1))
@@ -98,15 +93,19 @@ def test_piece_antiderivative_vs_quadrature():
         assert closed == pytest.approx(quad, rel=1e-12)
 
 
-def test_partition_plan_properties():
-    plan = scaled_partition_plan(10**4, 0.1, segment_size=1000)
-    assert plan[0][0][0] == 1.0
-    assert plan[-1][0][1] == 10**4
-    for (a, b), (lam_lo, lam_hi) in plan:
-        assert lam_lo <= math.floor(a)
-        assert lam_hi >= b * 1.1
+def test_partition_plan_properties(recording_sieve):
+    plan = sweep.tasks("scaled-integral", 10**4, 0.1, (2,), 1000, recording_sieve)
+    assert plan[0][0] == 1.0
+    assert plan[-1][1] == 10**4
     for prev, cur in zip(plan, plan[1:]):
-        assert prev[0][1] == cur[0][0]
+        assert prev[1] == cur[0]
+    for task in plan:
+        sweep.sweep_segment(task)
+    # Each segment's one sieve call holds every weight its windows see.
+    assert len(recording_sieve.ranges) == len(plan)
+    for (a, b, *_), (lo, hi) in zip(plan, recording_sieve.ranges):
+        assert lo <= math.floor(a)
+        assert hi >= b * 1.1
 
 
 def test_segmentation_self_consistency_bit_exact():
@@ -118,7 +117,7 @@ def test_segmentation_self_consistency_bit_exact():
 
 def test_boundary_window_sum_matches_psi():
     sieve = MangoldtSieve()
-    s = initial_window_sum(10**3, 0.1, sieve)
+    s = window_events(10**3, 10**3, 0.1, 0.0, sieve)[0]
     assert s == pytest.approx(sieve.psi(1100) - sieve.psi(1000), abs=1e-9)
 
 

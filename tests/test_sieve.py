@@ -3,14 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from psimoment import (
-    MangoldtSieve,
-    Segment,
-    lambda_events,
-    lambda_segment,
-    prime_count,
-    small_primes,
-)
+from psimoment import MangoldtSieve, prime_count
+from psimoment.sieve import Segment, lambda_segment, small_primes
 
 import oracles
 
@@ -31,15 +25,16 @@ def test_small_primes_empty_domain():
 
 
 def test_lambda_segment_1_to_10():
-    events = lambda_events(Segment(1, 10), small_primes(4))
-    assert [e.n for e in events] == [2, 3, 4, 5, 7, 8, 9]
+    ns, ws = lambda_segment(Segment(1, 10), small_primes(4))
+    assert ns.tolist() == [2, 3, 4, 5, 7, 8, 9]
     expected = [math.log(p) for p in [2, 3, 2, 5, 7, 2, 3]]
-    assert [e.weight for e in events] == pytest.approx(expected, abs=0)
+    assert ws.tolist() == pytest.approx(expected, abs=0)
 
 
 def test_lambda_segment_single_power():
-    events = lambda_events(Segment(8, 9), small_primes(3))
-    assert events == [(9, math.log(3))]
+    ns, ws = lambda_segment(Segment(8, 9), small_primes(3))
+    assert ns.tolist() == [9]
+    assert ws.tolist() == [math.log(3)]
 
 
 def test_lambda_segment_base_too_small():

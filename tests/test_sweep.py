@@ -1,11 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psimoment import MangoldtSieve, moment_sum
+from psimoment import MangoldtSieve, moment_sum, sweep
 from psimoment.sweep import power_sums
 
 import oracles
@@ -52,7 +53,6 @@ def test_moment_sum_property(data):
     h = data.draw(st.integers(1, X), label="h")
     size = data.draw(st.integers(1, 700), label="segment_size")
     ks = (2, 4, 6)
-    # The default sieve would chunk its ranges by segment_size too.
     sieve = MangoldtSieve()
     got = moment_sum(X, h, ks, segment_size=size, sieve=sieve)
     whole = moment_sum(X, h, ks, segment_size=X, sieve=sieve)
@@ -60,3 +60,15 @@ def test_moment_sum_property(data):
     for k in ks:
         assert got[k] == pytest.approx(want[k], rel=1e-9)
         assert got[k] == pytest.approx(whole[k], rel=1e-12)
+
+
+def test_segment_cap(monkeypatch):
+    # 10^10 one-integer segments are refused before any bookkeeping is built.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="segments"):
+        moment_sum(10**10, 10**5, [2], segment_size=1)
+    assert time.perf_counter() - t0 < 0.5
+    monkeypatch.setattr(sweep, "MAX_SEGMENTS", 4)
+    assert len(sweep.segments(0.0, 12.0, 3)) == 4
+    with pytest.raises(ValueError, match="exceeds 4 segments"):
+        sweep.segments(0.0, 13.0, 3)
