@@ -7,9 +7,10 @@ result is bit-identical for any worker count and across checkpoint resumes.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Sequence
 
 from .accum import NeumaierSum
@@ -19,6 +20,11 @@ from .errors import CheckpointError, NumericRangeError
 log = logging.getLogger(__name__)
 
 Worker = Callable[[Any], dict[int, float]]
+
+# Tasks in flight per pool worker.  A few queued behind each running task keep
+# every worker busy while the parent appends checkpoint records, and the
+# parent holds a bounded number of futures however many segments a run has.
+TASKS_PER_WORKER = 4
 
 
 def run_tasks(
@@ -53,14 +59,19 @@ def run_tasks(
                     writer.append(i, done[i])
         else:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                futures = {pool.submit(worker, tasks[i]): i for i in pending}
-                # as_completed waits on each future once; a wait() on the
-                # remaining set per completion costs O(segments^2).
-                for fut in as_completed(futures):
-                    i = futures[fut]
-                    done[i] = fut.result()
-                    if writer:
-                        writer.append(i, done[i])
+                queue = iter(pending)
+                running = {pool.submit(worker, tasks[i]): i
+                           for i in itertools.islice(queue, TASKS_PER_WORKER * threads)}
+                while running:
+                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
+                    for fut in sorted(finished, key=running.get):
+                        i = running.pop(fut)
+                        done[i] = fut.result()
+                        if writer:
+                            writer.append(i, done[i])
+                        j = next(queue, None)
+                        if j is not None:
+                            running[pool.submit(worker, tasks[j])] = j
     finally:
         if writer:
             writer.close()

@@ -161,7 +161,8 @@ def test_property_checkpoint_resume(tmp_path):
     path = str(tmp_path / "ck.jsonl")
     baseline = moment_sum(10**4, 100, [2, 4], segment_size=2**11)
     moment_sum(10**4, 100, [2, 4], segment_size=2**11, checkpoint=path)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:3]) + "\n")
     resumed = moment_sum(10**4, 100, [2, 4], segment_size=2**11,

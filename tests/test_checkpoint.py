@@ -1,11 +1,13 @@
 import json
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum
 from psimoment.checkpoint import CheckpointError, config_digest, load
 from psimoment.errors import NumericRangeError
+from psimoment import runner
 from psimoment.runner import run_tasks
 
 
@@ -17,7 +19,8 @@ def test_resume_bit_identical_sum(tmp_path):
     assert full == baseline
 
     # Simulate an interruption: keep only the header and first two segments.
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:3]) + "\n")
     resumed = moment_sum(2 * 10**4, 100, [2, 4], segment_size=2**12,
@@ -29,7 +32,8 @@ def test_resume_bit_identical_scaled(tmp_path):
     path = str(tmp_path / "ck.jsonl")
     baseline = moment_integral_scaled(10**4, 0.05, [2], segment_size=1500)
     moment_integral_scaled(10**4, 0.05, [2], segment_size=1500, checkpoint=path)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines[:2]) + "\n")
     resumed = moment_integral_scaled(10**4, 0.05, [2], segment_size=1500,
@@ -52,16 +56,17 @@ def test_resume_past_torn_final_record(tmp_path):
     assert sorted(rec["segment"] for rec in records) == [0, 1, 2, 3, 4]
 
 
-# Checkpoint headers of one small run per mode, as written before the modes
-# shared one sweep module.  They change only with the sweep's
-# __version_salt__; until then such checkpoints must keep resuming.
+# Checkpoint headers of one small run per mode, as written at
+# __version_salt__ = 3 (the blocked TwoSum power sums).  They change only
+# with the sweep's __version_salt__; until then such checkpoints must keep
+# resuming.
 PINNED_DIGESTS = {
     "fixed-sum": (moment_sum, (1000, 10, [2, 4]),
-                  "1b4f6de5dfda1b51b5ae8900fa51816a17677066e9babb03859f53a5df33aa6e"),
+                  "7b5d996d0f692bee6e01c58eb285f153278ed48c91a2897477dd37639cbba6e7"),
     "fixed-integral": (moment_integral_fixed, (1000.0, 7.5, [2, 4]),
-                       "f1453ad1861dd8e846565118393e194c32f0a4f1b941aa6dbf4e87e6bc18d3c9"),
+                       "3416d55ae4044fc9d07dc5e8827910be1f95b9a5f98f95e8606e1134a8b1b28c"),
     "scaled-integral": (moment_integral_scaled, (1000.0, 0.05, [2, 4]),
-                        "8f68dd9951974bc97be61cc74daebb42de1498aa56d2be7b98849782b62dbbf9"),
+                        "633b5b9808354d497b939f9edf0ae18c99775f7dc9a8a5aba4578b2a33cf58e0"),
 }
 
 
@@ -126,3 +131,50 @@ def test_runner_pool_linear_in_segments():
     got = run_tasks(_index_worker, range(n), [2], threads=2)
     assert time.perf_counter() - t0 < 6.0
     assert got[2] == n * (n - 1) / 2
+
+
+class _CountedFuture(Future):
+    def __init__(self, pool):
+        super().__init__()
+        self.pool = pool
+
+    def result(self, timeout=None):
+        self.pool.in_flight -= 1
+        return super().result(timeout)
+
+
+class _CountingPool:
+    """Runs each task at submit; counts futures whose result is still unread."""
+
+    def __init__(self, max_workers):
+        self.in_flight = self.peak = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = _CountedFuture(self)
+        fut.set_result(fn(*args))
+        self.in_flight += 1
+        self.peak = max(self.peak, self.in_flight)
+        return fut
+
+
+def test_runner_bounded_submissions(monkeypatch, tmp_path):
+    pools = []
+
+    def counting_pool(max_workers):
+        pools.append(_CountingPool(max_workers))
+        return pools[-1]
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
+    n, path = 1000, tmp_path / "ck.jsonl"
+    got = run_tasks(_index_worker, range(n), [2], threads=3, checkpoint_path=str(path))
+    # A few tasks per worker in flight, not one future per segment.
+    assert pools[0].peak == 3 * runner.TASKS_PER_WORKER
+    assert pools[0].in_flight == 0
+    assert got == run_tasks(_index_worker, range(n), [2])
+    assert sorted(load(str(path), "")) == list(range(n))

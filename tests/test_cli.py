@@ -134,7 +134,10 @@ def test_domain_error_exit_code(capsys):
                  ["fixed", "--x", "1000.9", "--h", "10"],
                  # 10^10 segments: refused before any of them is built
                  ["fixed", "--x", "1e10", "--h", "1e5", "--segment-size", "1"],
-                 ["reproduce", "ms-table", "--segment-size", "1"]):
+                 ["reproduce", "ms-table", "--segment-size", "1"],
+                 # one segment of 10^9 integers: refused before it is sieved
+                 ["scaled", "--x", "1e9", "--delta", "1e-4",
+                  "--segment-size", "1000000000"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert err.startswith("error: "), args
