@@ -41,7 +41,9 @@ MAX_SEGMENTS = 1 << 20
 
 # One segment holds its sieve mask and event arrays at once: a 2^26 segment at
 # X = 1e9 peaks at ~406 MB RSS per worker (~5.6 B per integer), so larger
-# segments are refused rather than left to fail in numpy's allocator.
+# segments, and segments whose one sieve call spans more integers (a large
+# delta or h widens it), are refused rather than left to fail in numpy's
+# allocator.
 MAX_SEGMENT_SIZE = 1 << 26
 
 # mode -> (name of its parameter, (X, param) -> (lo, hi, delta, beta)): the
@@ -88,11 +90,28 @@ def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
     return out
 
 
+def sieve_range(a: float, b: float, delta: float, beta: float) -> tuple[int, int]:
+    """The (lo, hi] of the one sieve call behind the segment [a, b]."""
+    return math.floor(a), math.ceil((1.0 + delta) * b + beta) + 1
+
+
 def tasks(mode: str, X, param, ks, segment_size: int, sieve=None) -> list[tuple]:
     """The sweep_segment tasks of one run of mode over [1, X]."""
-    lo, hi, delta, beta = WINDOWS[mode][1](X, param)
+    name, window = WINDOWS[mode]
+    lo, hi, delta, beta = window(X, param)
+    pieces = segments(lo, hi, segment_size)
+    # All segments but the last have one length and a span that grows with
+    # their end, so the widest span is one of the last two.
+    span = 0
+    for a, b in pieces[-2:]:
+        first, last = sieve_range(a, b, delta, beta)
+        span = max(span, last - first)
+    if span > MAX_SEGMENT_SIZE:
+        raise ValueError(
+            f"{name} = {param} makes one segment sieve {span} integers, above "
+            f"{MAX_SEGMENT_SIZE}; use a smaller {name}")
     sieve = sieve if sieve is not None else MangoldtSieve()
-    return [(a, b, delta, beta, ks, sieve) for a, b in segments(lo, hi, segment_size)]
+    return [(a, b, delta, beta, ks, sieve) for a, b in pieces]
 
 
 def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
@@ -115,7 +134,7 @@ def window_events(a: float, b: float, delta: float, beta: float, sieve):
     Returns (s0, coords, signed): coords nondecreasing, a leaving prime power
     with weight -w, an entering one with +w, leaves first on equal coords.
     """
-    ns, ws = sieve.events(math.floor(a), math.ceil((1.0 + delta) * b + beta) + 1)
+    ns, ws = sieve.events(*sieve_range(a, b, delta, beta))
     leave = ns.astype(np.float64)
     enter = (leave - beta) / (1.0 + delta)
     # Both coordinates rise with m, so each condition selects a slice.

@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's segmented sieve and event
 sweep: prime-power weights come from a divisor table built by repeated
 marking, summatory values from a plain prefix table, moments from window
-slices or piecewise quadrature of the pointwise-evaluated integrand.
+slices or piecewise quadrature of the pointwise-evaluated integrand.  The
+one exception is lambda_segment_reference, the package's earlier sieve,
+kept as the bit-for-bit reference of the fast one.
 """
 
 from __future__ import annotations
@@ -131,3 +133,59 @@ def riemann_scaled_integral(X: float, delta: float, ks) -> dict[int, float]:
         )
 
     return _piecewise_quadrature(breaks, g, ks)
+
+
+def _prime_mask_reference(lo: int, hi: int, base) -> np.ndarray:
+    """Boolean mask over n = lo+1 .. hi marking primes."""
+    mask = np.ones(hi - lo, dtype=bool)
+    if lo == 0:
+        mask[0] = False  # n = 1
+    for p in base.primes:
+        p = int(p)
+        if p * p > hi:
+            break
+        start = max(p * p, ((lo // p) + 1) * p)
+        if start <= hi:
+            mask[start - lo - 1 :: p] = False
+    return mask
+
+
+def lambda_segment_reference(seg, base) -> tuple[np.ndarray, np.ndarray]:
+    """Prime-power locations and weights in (seg.lo, seg.hi], ascending.
+
+    The plain segmented sieve that psimoment.sieve.lambda_segment replaced:
+    a full mask crossed off prime by prime, and the higher powers enumerated
+    per call.  The fast sieve must return the same ns and the same ws bits.
+
+    Returns (n, weight) arrays: one entry per prime power, weight = log p.
+    """
+    need = math.isqrt(seg.hi)
+    if base.limit < need:
+        raise ValueError(
+            f"base primes up to {base.limit} insufficient for segment ending at "
+            f"{seg.hi}; need limit >= {need}"
+        )
+    mask = _prime_mask_reference(seg.lo, seg.hi, base)
+    prime_ns = np.flatnonzero(mask).astype(np.int64) + seg.lo + 1
+    prime_ws = np.log(prime_ns.astype(np.float64))
+
+    # Higher powers p^m (m >= 2) are sparse: enumerate them from base primes.
+    power_ns: list[int] = []
+    power_ws: list[float] = []
+    for p in base.primes:
+        p = int(p)
+        pw = p * p
+        if pw > seg.hi:
+            break
+        lp = math.log(p)
+        while pw <= seg.hi:
+            if pw > seg.lo:
+                power_ns.append(pw)
+                power_ws.append(lp)
+            pw *= p
+    if power_ns:
+        ns = np.concatenate([prime_ns, np.asarray(power_ns, dtype=np.int64)])
+        ws = np.concatenate([prime_ws, np.asarray(power_ws, dtype=np.float64)])
+        order = np.argsort(ns, kind="stable")
+        return ns[order], ws[order]
+    return prime_ns, prime_ws

@@ -3,6 +3,7 @@ import logging
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,13 @@ def test_domain_error_exit_code(capsys):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert err.startswith("error: "), args
+    # A window so wide that one segment would sieve ~10^9 integers: refused
+    # before the sieve runs.
+    t0 = time.perf_counter()
+    code, out, err = run_cli(["scaled", "--x", "1e9", "--delta", "1"], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and "delta" in err
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_io_error_exit_code(capsys):

@@ -1,12 +1,31 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psimoment import MangoldtSieve, prime_count
-from psimoment.sieve import Segment, lambda_segment, small_primes
+from psimoment.sieve import WHEEL, Segment, lambda_segment, small_primes
 
 import oracles
+
+MAX_LO = 10**10
+MAX_LENGTH = 3 * WHEEL + 7
+
+
+@lru_cache(maxsize=1)
+def wide_base():
+    """Base primes for every range the bit-identity property draws."""
+    return small_primes(math.isqrt(MAX_LO + MAX_LENGTH))
+
+
+def assert_same_bits(lo, hi, base):
+    ns, ws = lambda_segment(Segment(lo, hi), base)
+    ref_ns, ref_ws = oracles.lambda_segment_reference(Segment(lo, hi), base)
+    assert ns.dtype == ref_ns.dtype and ws.dtype == ref_ws.dtype
+    assert np.array_equal(ns, ref_ns), (lo, hi)
+    assert ws.tobytes() == ref_ws.tobytes(), (lo, hi)
 
 
 def test_small_primes_trivial():
@@ -66,6 +85,48 @@ def test_segment_independence():
     assert np.array_equal(whole_ws, cat_ws)
 
 
+@settings(max_examples=60, deadline=None)
+@given(lo=st.one_of(st.integers(0, MAX_LO), st.integers(MAX_LO - 2**32, MAX_LO)),
+       length=st.integers(1, MAX_LENGTH))
+def test_lambda_segment_matches_reference(lo, length):
+    # The wheel, odd-only mask, rounds and power table return the plain
+    # sieve's ns and the same weight bits.  The second lo strategy keeps the
+    # top decade, where every base prime is live, in every run.
+    assert_same_bits(lo, lo + length, wide_base())
+
+
+@pytest.mark.parametrize("lo,hi", [
+    # lo = 0, 1, 2: n = 1 cleared, 2 added, odd start at 1 or 3
+    *[(lo, hi) for lo in (0, 1, 2) for hi in range(lo + 1, lo + 40)],
+    # ranges holding 2, or the wheel primes 3..13, at either end
+    (1, 2), (1, 3), (2, 3), (2, 13), (3, 13), (12, 13), (12, 17), (13, 14),
+    # p^2 boundaries: a first cross-off at p^2 just inside or outside
+    *[(q - d, q + e) for p in (17, 19, 23, 101, 65521, 99991)
+      for q in (p * p,) for d, e in ((3, -1), (1, 0), (2, 0), (1, 1), (3, 2))],
+    # ranges crossing a 30030 = 2 * WHEEL boundary, so the tiling wraps
+    *[(30030 * m - d, 30030 * m + e) for m in (1, 2, 333000)
+      for d in (1, 2, 15015) for e in (0, 1, 7, 30031)],
+    # whole periods and a 2^20 chunk near the top of the range
+    (0, 3 * 30030), (30030, 5 * 30030 + 3), (MAX_LO - (1 << 20), MAX_LO),
+])
+def test_lambda_segment_edges_match_reference(lo, hi):
+    assert_same_bits(lo, hi, wide_base())
+
+
+def test_lambda_segment_minimal_base_matches_reference():
+    # The smallest base a range allows: the power table ends at
+    # (limit + 1)^2 - 1, and the slice/rounds split sees few primes.
+    for hi in range(2, 1500):
+        base = small_primes(max(math.isqrt(hi), 2))
+        for lo in (0, hi // 2, hi - 1):
+            assert_same_bits(lo, hi, base)
+
+
+def test_prime_count_matches_small_primes():
+    for n in [*range(2, 18), WHEEL * 2 - 1, WHEEL * 2, WHEEL * 2 + 1]:
+        assert prime_count(n) == len(small_primes(n).primes), n
+
+
 def test_psi_values():
     sieve = MangoldtSieve()
     assert sieve.psi(1.5) == 0.0
@@ -79,6 +140,12 @@ def test_psi_nondecreasing_and_zero_below_2():
     values = [sieve.psi(x) for x in [1, 1.9, 2, 10, 100, 1000, 10000]]
     assert values[0] == 0.0 and values[1] == 0.0
     assert values == sorted(values)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, 0.5])
+def test_psi_rejects_non_finite_and_small(x):
+    with pytest.raises(ValueError, match="finite x >= 1"):
+        MangoldtSieve().psi(x)
 
 
 def test_rh_soft_bound_small_scale():

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psimoment import MangoldtSieve, moment_integral_scaled, moment_sum, sweep
+from psimoment import (MangoldtSieve, moment_integral_fixed, moment_integral_scaled,
+                       moment_sum, sweep)
 from psimoment.sweep import BLOCK, power_sums
 
 import oracles
@@ -102,12 +103,44 @@ def test_moment_sum_property(data):
         assert got[k] == pytest.approx(whole[k], rel=1e-12)
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_integral_modes_vs_oracles(data):
+    # Segment sizes from 1 to X give the default sieve calls of every small
+    # length, starting at odd and even n.
+    X = data.draw(st.floats(2.0, 3000.0), label="X")
+    h = data.draw(st.floats(0.5, X), label="h")
+    delta = data.draw(st.floats(1e-3, 1.0), label="delta")
+    size = data.draw(st.integers(1, math.ceil(X)), label="segment_size")
+    ks = (2, 4, 6)
+    for got, want in (
+            (moment_integral_fixed(X, h, ks, segment_size=size),
+             oracles.riemann_fixed_integral(X, h, ks)),
+            (moment_integral_scaled(X, delta, ks, segment_size=size),
+             oracles.riemann_scaled_integral(X, delta, ks))):
+        for k in ks:
+            assert got[k] == pytest.approx(want[k], rel=1e-9), (k, got, want)
+
+
 def test_segment_cap(monkeypatch):
     # 10^10 one-integer segments are refused before any bookkeeping is built.
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="segments"):
         moment_sum(10**10, 10**5, [2], segment_size=1)
     assert time.perf_counter() - t0 < 0.5
+    # A wide window widens every segment's one sieve call past its size: at
+    # delta = 1 the last segment ending at 1e9 would sieve ~1e9 integers.
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="delta = 1.0 makes one segment sieve"):
+        moment_integral_scaled(1e9, 1.0, [2])
+    assert time.perf_counter() - t0 < 0.5
+    # Boundary: segments of 50 over [1, 1000] with h sieve 51 + h integers at
+    # most, in the next-to-last segment [901, 951].
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "MAX_SEGMENT_SIZE", 100)
+        assert len(sweep.tasks("fixed-integral", 1000, 49, (2,), 50)) == 20
+        with pytest.raises(ValueError, match="h = 50 makes one segment sieve 101"):
+            sweep.tasks("fixed-integral", 1000, 50, (2,), 50)
     monkeypatch.setattr(sweep, "MAX_SEGMENTS", 4)
     assert len(sweep.segments(0.0, 12.0, 3)) == 4
     with pytest.raises(ValueError, match="exceeds 4 segments"):
