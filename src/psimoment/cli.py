@@ -124,7 +124,7 @@ def _build_report(mode, x, param, ks, actual, wall) -> MomentReport:
         rows.append(MomentRow(k=k, actual=a, predicted_thm=thm,
                               predicted_ms=ms, ratio=ratio))
     return MomentReport(mode=mode, x=x, h_or_delta=param, rows=tuple(rows),
-                        wall_seconds=wall, version=__version__)
+                        wall_seconds=wall)
 
 
 # mode -> (module, function).  The function is looked up when the run starts,
@@ -187,8 +187,7 @@ def _run_predict(args) -> MomentReport:
             rows.append(MomentRow(k, None, value, None, None))
         print(f"k={k}  {value:.6g}")
     return MomentReport(mode=f"predict-{args.formula}", x=args.x,
-                        h_or_delta=param, rows=tuple(rows), wall_seconds=0.0,
-                        version=__version__)
+                        h_or_delta=param, rows=tuple(rows), wall_seconds=0.0)
 
 
 REPRODUCE_TABLES = {

@@ -5,9 +5,5 @@ class NumericRangeError(ArithmeticError):
     """A partial sum overflowed or became non-finite."""
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within its depth limit."""
-
-
 class CheckpointError(RuntimeError):
     """Checkpoint file is unreadable or does not match the run config."""

@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .errors import QuadratureError
 from .sweep import check_ks
 
 EULER_GAMMA = 0.57721566490153286061
@@ -130,51 +128,3 @@ def cramer_variance(N: float, h: float) -> tuple[float, float]:
     if not 1 <= h <= N:
         raise ValueError("need 1 <= h <= N")
     return (h * math.log(N / h), h * math.log(N))
-
-
-def adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-    max_depth: int = 50,
-) -> float:
-    """Adaptive Simpson quadrature with relative tolerance tol.
-
-    Signed orientation: a > b integrates backwards.  Raises QuadratureError
-    if the depth limit is reached before the tolerance is met.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
-
-    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    # Tolerances scale to a first global magnitude estimate.
-    fa, fm, fb = f(a), f((a + b) / 2.0), f(b)
-    whole = simpson(a, b, fa, fm, fb)
-    scale = max(abs(whole), 1e-300)
-
-    def recurse(lo, hi, flo, fhi, fmid, approx, eps, depth):
-        mid = (lo + hi) / 2.0
-        lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
-        flm, frm = f(lm), f(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        err = left + right - approx
-        if abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        if depth >= max_depth:
-            raise QuadratureError(
-                f"quadrature did not converge on [{lo:g}, {hi:g}] "
-                f"after depth {max_depth}"
-            )
-        return recurse(lo, mid, flo, fmid, flm, left, eps / 2.0, depth + 1) + recurse(
-            mid, hi, fmid, fhi, frm, right, eps / 2.0, depth + 1
-        )
-
-    return recurse(a, b, fa, fb, fm, whole, tol * scale, 0)

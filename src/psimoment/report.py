@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+from . import __version__
 
 CSV_COLUMNS = [
     "k", "mode", "x", "h_or_delta", "actual",
@@ -20,10 +22,6 @@ CSV_COLUMNS = [
 
 def _fmt(v: float | None) -> str:
     return "" if v is None else format(float(v), ".17g")
-
-
-def _parse(s: str) -> float | None:
-    return None if s == "" else float(s)
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class MomentReport:
     h_or_delta: float
     rows: tuple[MomentRow, ...]
     wall_seconds: float
-    version: str = field(default="0.1.0")
 
 
 def to_csv(report: MomentReport) -> str:
@@ -58,34 +55,13 @@ def to_csv(report: MomentReport) -> str:
     return out.getvalue()
 
 
-def from_csv(text: str) -> MomentReport:
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    mode = ""
-    x = h_or_delta = wall = 0.0
-    for rec in reader:
-        mode = rec["mode"]
-        x = float(rec["x"])
-        h_or_delta = float(rec["h_or_delta"])
-        wall = float(rec["wall_seconds"])
-        rows.append(MomentRow(
-            k=int(rec["k"]),
-            actual=_parse(rec["actual"]),
-            predicted_thm=_parse(rec["predicted_thm"]),
-            predicted_ms=_parse(rec["predicted_ms"]),
-            ratio=_parse(rec["ratio"]),
-        ))
-    return MomentReport(mode=mode, x=x, h_or_delta=h_or_delta,
-                        rows=tuple(rows), wall_seconds=wall)
-
-
 def to_json(report: MomentReport) -> str:
     payload = {
         "mode": report.mode,
         "x": report.x,
         "h_or_delta": report.h_or_delta,
         "wall_seconds": report.wall_seconds,
-        "version": report.version,
+        "version": __version__,
         "rows": [
             {
                 "k": r.k,

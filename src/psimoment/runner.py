@@ -1,8 +1,9 @@
-"""Segment-parallel execution with a deterministic ordered reduction.
+"""Segment-parallel execution with a deterministic reduction.
 
 Workers own disjoint segments and return per-order partial sums; the
-reduction is compensated addition applied in segment-index order, so the
-result is bit-identical for any worker count and across checkpoint resumes.
+reduction is one math.fsum per order, correctly rounded and so independent of
+the order the partials arrive in: the result is bit-identical for any worker
+count and across checkpoint resumes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Sequence
 
-from .accum import NeumaierSum
 from .checkpoint import CheckpointWriter, load
 from .errors import CheckpointError, NumericRangeError
 
@@ -36,7 +36,7 @@ def run_tasks(
     resume: bool = False,
     digest: str = "",
 ) -> dict[int, float]:
-    """Run worker over tasks, reduce per-k results in task-index order."""
+    """Run worker over tasks; return each k's partials summed by math.fsum."""
     if threads < 1:
         raise ValueError("threads must be >= 1")
     done: dict[int, dict[int, float]] = {}
@@ -76,12 +76,13 @@ def run_tasks(
         if writer:
             writer.close()
 
-    totals = {k: NeumaierSum() for k in ks}
-    for i in range(len(tasks)):
-        for k in ks:
-            totals[k].add(done[i][k])
-    out = {k: acc.value for k, acc in totals.items()}
-    for k, v in out.items():
-        if not math.isfinite(v):
-            raise NumericRangeError(f"order-{k} partial sum overflowed: {v}")
+    out = {}
+    for k in ks:
+        # fsum raises OverflowError past float64 and ValueError on inf - inf.
+        try:
+            out[k] = math.fsum(done[i][k] for i in range(len(tasks)))
+        except (OverflowError, ValueError) as exc:
+            raise NumericRangeError(f"order-{k} partial sum overflowed: {exc}") from exc
+        if not math.isfinite(out[k]):
+            raise NumericRangeError(f"order-{k} partial sum overflowed: {out[k]}")
     return out

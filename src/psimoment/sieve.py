@@ -9,22 +9,17 @@ has at most ROUNDS multiples in the mask, so those are crossed off
 together, one multiple per prime per round, in O(#primes) memory.  The
 higher powers p^m (m >= 2) come from a table built once per set of base
 primes and are spliced into the sorted primes.  Weights are float64 values
-of log p (np.log of each prime, math.log(p) for each higher power), and all
-downstream sums are compensated.
+of log p (np.log of each prime, math.log(p) for each higher power); psi adds
+them with math.fsum, so its sum is correctly rounded.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-
-from .accum import NeumaierSum
-
-log = logging.getLogger(__name__)
 
 DEFAULT_SEGMENT_SIZE = 1 << 22
 
@@ -185,6 +180,12 @@ def lambda_segment(seg: Segment, base: BasePrimes) -> tuple[np.ndarray, np.ndarr
     return ns, ws
 
 
+def _chunks(lo: int, hi: int):
+    """(a, b] pieces of (lo, hi], DEFAULT_SEGMENT_SIZE integers each but the last."""
+    for a in range(lo, hi, DEFAULT_SEGMENT_SIZE):
+        yield a, min(a + DEFAULT_SEGMENT_SIZE, hi)
+
+
 class MangoldtSieve:
     """Reusable segmented sieve; base primes grow lazily and are immutable
     once built.  Instances are picklable and safe to share across workers.
@@ -206,43 +207,15 @@ class MangoldtSieve:
         if hi <= lo:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         base = self.base_primes(math.isqrt(hi))
-        ns_parts = []
-        ws_parts = []
-        a = lo
-        while a < hi:
-            b = min(a + DEFAULT_SEGMENT_SIZE, hi)
-            ns, ws = lambda_segment(Segment(a, b), base)
-            ns_parts.append(ns)
-            ws_parts.append(ws)
-            a = b
-        return np.concatenate(ns_parts), np.concatenate(ws_parts)
+        ns, ws = zip(*(lambda_segment(Segment(a, b), base) for a, b in _chunks(lo, hi)))
+        return np.concatenate(ns), np.concatenate(ws)
 
     def psi(self, x: float) -> float:
-        """Summatory function: compensated sum of weights over n <= floor(x)."""
+        """Summatory function: the sum of weights over n <= floor(x)."""
         if not 1 <= x < math.inf:
             raise ValueError(f"psi requires finite x >= 1, got {x}")
-        top = math.floor(x)
-        total = NeumaierSum()
-        a = 0
-        while a < top:
-            b = min(a + DEFAULT_SEGMENT_SIZE, top)
-            _, ws = self.events(a, b)
-            total.add(math.fsum(ws))
-            a = b
-        value = total.value
-        _rh_monitor(x, value)
-        return value
-
-
-def _rh_monitor(x: float, psi_x: float) -> None:
-    # Soft sanity bound only: warn, never fail.
-    if 1e3 <= x <= 1e8:
-        bound = 3.0 * math.sqrt(x) * math.log(x) ** 2
-        if abs(psi_x - x) > bound:
-            log.warning(
-                "psi(%g) = %.6g deviates from x by more than %.3g",
-                x, psi_x, bound,
-            )
+        return math.fsum(math.fsum(self.events(a, b)[1])
+                         for a, b in _chunks(0, math.floor(x)))
 
 
 class ZeroMangoldt:
@@ -251,19 +224,12 @@ class ZeroMangoldt:
     def events(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
-    def psi(self, x: float) -> float:
-        return 0.0
-
 
 def prime_count(limit: int) -> int:
     """Number of primes <= limit (segmented, for CLI smoke tests)."""
     if limit < 2:
         return 0
     base = small_primes(max(math.isqrt(limit), 2))
-    count = 1  # n = 2; the masks hold the odd n
-    a = 0
-    while a < limit:
-        b = min(a + DEFAULT_SEGMENT_SIZE, limit)
-        count += int(np.count_nonzero(_odd_mask(a, b, base)[1]))
-        a = b
-    return count
+    # 1 for n = 2; the masks hold the odd n.
+    return 1 + sum(int(np.count_nonzero(_odd_mask(a, b, base)[1]))
+                   for a, b in _chunks(0, limit))

@@ -5,15 +5,26 @@ sweep: prime-power weights come from a divisor table built by repeated
 marking, summatory values from a plain prefix table, moments from window
 slices or piecewise quadrature of the pointwise-evaluated integrand.  The
 one exception is lambda_segment_reference, the package's earlier sieve,
-kept as the bit-for-bit reference of the fast one.
+kept as the bit-for-bit reference of the fast one.  adaptive_simpson is the
+quadrature cross-check of the closed-form main terms, and from_csv reads a
+CSV report back for the round-trip tests.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
+
+from psimoment.report import MomentReport, MomentRow
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to converge within its depth limit."""
 
 
 def trial_division_lambda(n: int) -> float:
@@ -189,3 +200,76 @@ def lambda_segment_reference(seg, base) -> tuple[np.ndarray, np.ndarray]:
         order = np.argsort(ns, kind="stable")
         return ns[order], ws[order]
     return prime_ns, prime_ws
+
+
+def adaptive_simpson(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    tol: float = 1e-10,
+    max_depth: int = 50,
+) -> float:
+    """Adaptive Simpson quadrature with relative tolerance tol.
+
+    Signed orientation: a > b integrates backwards.  Raises QuadratureError
+    if the depth limit is reached before the tolerance is met.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if a == b:
+        return 0.0
+    if a > b:
+        return -adaptive_simpson(f, b, a, tol, max_depth)
+
+    def simpson(lo: float, hi: float, flo: float, fmid: float, fhi: float) -> float:
+        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
+
+    # Tolerances scale to a first global magnitude estimate.
+    fa, fm, fb = f(a), f((a + b) / 2.0), f(b)
+    whole = simpson(a, b, fa, fm, fb)
+    scale = max(abs(whole), 1e-300)
+
+    def recurse(lo, hi, flo, fhi, fmid, approx, eps, depth):
+        mid = (lo + hi) / 2.0
+        lm, rm = (lo + mid) / 2.0, (mid + hi) / 2.0
+        flm, frm = f(lm), f(rm)
+        left = simpson(lo, mid, flo, flm, fmid)
+        right = simpson(mid, hi, fmid, frm, fhi)
+        err = left + right - approx
+        if abs(err) <= 15.0 * eps:
+            return left + right + err / 15.0
+        if depth >= max_depth:
+            raise QuadratureError(
+                f"quadrature did not converge on [{lo:g}, {hi:g}] "
+                f"after depth {max_depth}"
+            )
+        return recurse(lo, mid, flo, fmid, flm, left, eps / 2.0, depth + 1) + recurse(
+            mid, hi, fmid, fhi, frm, right, eps / 2.0, depth + 1
+        )
+
+    return recurse(a, b, fa, fb, fm, whole, tol * scale, 0)
+
+
+def _parse(s: str) -> float | None:
+    return None if s == "" else float(s)
+
+
+def from_csv(text: str) -> MomentReport:
+    reader = csv.DictReader(io.StringIO(text))
+    rows = []
+    mode = ""
+    x = h_or_delta = wall = 0.0
+    for rec in reader:
+        mode = rec["mode"]
+        x = float(rec["x"])
+        h_or_delta = float(rec["h_or_delta"])
+        wall = float(rec["wall_seconds"])
+        rows.append(MomentRow(
+            k=int(rec["k"]),
+            actual=_parse(rec["actual"]),
+            predicted_thm=_parse(rec["predicted_thm"]),
+            predicted_ms=_parse(rec["predicted_ms"]),
+            ratio=_parse(rec["ratio"]),
+        ))
+    return MomentReport(mode=mode, x=x, h_or_delta=h_or_delta,
+                        rows=tuple(rows), wall_seconds=wall)

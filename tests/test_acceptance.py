@@ -20,10 +20,10 @@ from psimoment import (
     poly_exp_integral,
     scaled_main_term,
 )
-from psimoment.predictors import adaptive_simpson
 from psimoment.sweep import window_events
 
 import oracles
+from oracles import adaptive_simpson
 
 extended = pytest.mark.skipif(
     not os.environ.get("PSIMOMENT_EXTENDED"),

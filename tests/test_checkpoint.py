@@ -1,11 +1,13 @@
 import json
+import math
 import time
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, strategies as st
 
 from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum
-from psimoment.checkpoint import CheckpointError, config_digest, load
+from psimoment.checkpoint import CheckpointError, CheckpointWriter, config_digest, load
 from psimoment.errors import NumericRangeError
 from psimoment import runner
 from psimoment.runner import run_tasks
@@ -111,11 +113,48 @@ def test_load_rejects_garbage(tmp_path):
 
 
 def test_runner_overflow_raises():
-    def worker(task):
-        return {2: 1e308}
+    partials = [
+        lambda i: 1e308,  # finite partials whose sum overflows
+        lambda i: math.inf if i % 2 == 0 else -math.inf,  # inf - inf
+        lambda i: math.nan,
+    ]
+    for value in partials:
+        with pytest.raises(NumericRangeError):
+            run_tasks(lambda task: {2: value(task)}, [0, 1, 2, 3], [2])
 
-    with pytest.raises(NumericRangeError):
-        run_tasks(worker, [0, 1, 2, 3], [2])
+
+def _value_worker(task):
+    return {2: task}
+
+
+CANCELLING = [1e16, 1.0, -1e16]  # a plain left-to-right sum gives 0.0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runner_reduction_exact_under_cancellation(threads):
+    assert run_tasks(_value_worker, CANCELLING, [2], threads=threads) == {2: 1.0}
+
+
+def test_runner_reduction_exact_on_resume(tmp_path):
+    path = str(tmp_path / "ck.jsonl")
+    writer = CheckpointWriter(path, "", fresh=True)
+    writer.append(0, {2: CANCELLING[0]})
+    writer.close()
+    seen = []
+
+    def worker(task):
+        seen.append(task)
+        return _value_worker(task)
+
+    got = run_tasks(worker, CANCELLING, [2], checkpoint_path=path, resume=True)
+    assert got == {2: 1.0}
+    assert seen == CANCELLING[1:]  # segment 0 came from the checkpoint
+
+
+@given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=200))
+def test_runner_reduction_is_fsum(xs):
+    got = run_tasks(lambda i: {2: xs[i]}, range(len(xs)), [2])
+    assert got[2].hex() == math.fsum(xs).hex()
 
 
 def _index_worker(task):

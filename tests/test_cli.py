@@ -10,7 +10,8 @@ import pytest
 
 import psimoment
 from psimoment import cli
-from psimoment.report import from_csv
+
+from oracles import from_csv
 
 
 def run_cli(args, capsys):

@@ -12,8 +12,8 @@ from psimoment import (
     poly_exp_integral,
     scaled_main_term,
 )
-from psimoment.errors import QuadratureError
-from psimoment.predictors import adaptive_simpson
+
+from oracles import QuadratureError, adaptive_simpson
 
 
 def test_constants_identity():

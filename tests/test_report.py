@@ -4,11 +4,12 @@ from psimoment.report import (
     CSV_COLUMNS,
     MomentReport,
     MomentRow,
-    from_csv,
     render_table,
     to_csv,
     to_json,
 )
+
+from oracles import from_csv
 
 
 def sample_report():

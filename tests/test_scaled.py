@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from psimoment import MangoldtSieve, moment_integral_scaled, sweep
-from psimoment.predictors import adaptive_simpson
 from psimoment.sweep import window_events
 
 import oracles
+from oracles import adaptive_simpson
 
 
 def test_empty_window_closed_form():

@@ -149,7 +149,7 @@ def test_psi_rejects_non_finite_and_small(x):
 
 
 def test_rh_soft_bound_small_scale():
-    # Soft monitor sanity: the bound comfortably holds at these scales.
+    # |psi(x) - x| stays well inside 3 sqrt(x) log(x)^2 at these scales.
     sieve = MangoldtSieve()
     for x in [10**3, 10**4, 10**5, 10**6]:
         assert abs(sieve.psi(x) - x) <= 3 * math.sqrt(x) * math.log(x) ** 2
