@@ -19,7 +19,7 @@ from . import predictors, scaled as scaled_mod, sweep
 from .errors import CheckpointError, NumericRangeError
 from .report import MomentReport, MomentRow, emit, render_table
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, prime_count
-from .sweep import check_ks, sweep_segment
+from .sweep import Workspace, check_ks, sweep_segment
 
 LONG_RUN_SECONDS = 30 * 60
 
@@ -202,7 +202,7 @@ def _projected_seconds(mode, x, param, ks, segment_size, threads) -> tuple[float
     tasks = sweep.tasks(mode, x, param, ks, segment_size)
     task = max(tasks[-2:], key=lambda t: t[1] - t[0])  # skip a short remainder
     t0 = time.monotonic()
-    sweep_segment(task)
+    sweep_segment(Workspace(MangoldtSieve()), task)
     per_segment = time.monotonic() - t0
     return per_segment * len(tasks) / max(1, threads), len(tasks)
 
@@ -236,13 +236,12 @@ def main(argv=None) -> int:
         if args.command == "sieve":
             if args.limit < 2:
                 raise ValueError("--limit must be >= 2")
-            count = prime_count(args.limit)
             if args.count:
-                sieve = MangoldtSieve()
+                count, psi = MangoldtSieve().pi_and_psi(args.limit)
                 print(f"primes<={args.limit}: {count}")
-                print(f"psi({args.limit}) = {sieve.psi(args.limit):.17g}")
+                print(f"psi({args.limit}) = {psi:.17g}")
             else:
-                print(count)
+                print(prime_count(args.limit))
             return 0
         if args.command in ("fixed", "scaled"):
             report = _run_moments(*_moment_inputs(args), args.k, args)

@@ -4,6 +4,11 @@ Workers own disjoint segments and return per-order partial sums; the
 reduction is one math.fsum per order, correctly rounded and so independent of
 the order the partials arrive in: the result is bit-identical for any worker
 count and across checkpoint resumes.
+
+A pool gets the worker once per process, through its initializer, and each
+task then carries only its own arguments: whatever the worker holds (a sieve
+and its base primes, a workspace) is built once in each process and reused by
+every task that process runs.
 """
 
 from __future__ import annotations
@@ -25,6 +30,17 @@ Worker = Callable[[Any], dict[int, float]]
 # every worker busy while the parent appends checkpoint records, and the
 # parent holds a bounded number of futures however many segments a run has.
 TASKS_PER_WORKER = 4
+
+_worker: Worker | None = None  # a pool process's worker, set by _set_worker
+
+
+def _set_worker(worker: Worker) -> None:
+    global _worker
+    _worker = worker
+
+
+def _call_worker(task):
+    return _worker(task)
 
 
 def run_tasks(
@@ -58,9 +74,10 @@ def run_tasks(
                 if writer:
                     writer.append(i, done[i])
         else:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=threads, initializer=_set_worker,
+                                     initargs=(worker,)) as pool:
                 queue = iter(pending)
-                running = {pool.submit(worker, tasks[i]): i
+                running = {pool.submit(_call_worker, tasks[i]): i
                            for i in itertools.islice(queue, TASKS_PER_WORKER * threads)}
                 while running:
                     finished, _ = wait(running, return_when=FIRST_COMPLETED)
@@ -71,7 +88,7 @@ def run_tasks(
                             writer.append(i, done[i])
                         j = next(queue, None)
                         if j is not None:
-                            running[pool.submit(worker, tasks[j])] = j
+                            running[pool.submit(_call_worker, tasks[j])] = j
     finally:
         if writer:
             writer.close()

@@ -212,10 +212,26 @@ class MangoldtSieve:
 
     def psi(self, x: float) -> float:
         """Summatory function: the sum of weights over n <= floor(x)."""
+        return self.pi_and_psi(x)[1]
+
+    def pi_and_psi(self, x: float) -> tuple[int, float]:
+        """The prime count and psi at x, from one sieve pass over (0, floor(x)].
+
+        psi is one fsum of the chunks' fsums.  A chunk's primes are its prime
+        powers less the higher powers the base primes' table has there.
+        """
         if not 1 <= x < math.inf:
             raise ValueError(f"psi requires finite x >= 1, got {x}")
-        return math.fsum(math.fsum(self.events(a, b)[1])
-                         for a, b in _chunks(0, math.floor(x)))
+        n = math.floor(x)
+        base = self.base_primes(math.isqrt(n))
+        powers = base.powers[0]
+        count, sums = 0, []
+        for a, b in _chunks(0, n):
+            ns, ws = lambda_segment(Segment(a, b), base)
+            first, last = np.searchsorted(powers, (a, b), "right")
+            count += len(ns) - int(last - first)
+            sums.append(math.fsum(ws))
+        return count, math.fsum(sums)
 
 
 class ZeroMangoldt:

@@ -15,6 +15,7 @@ same bits for any worker count.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -39,11 +40,11 @@ FOLD_TO = 64
 # A pool adds only the futures of the few tasks it has in flight.
 MAX_SEGMENTS = 1 << 20
 
-# One segment holds its sieve mask and event arrays at once: a 2^26 segment at
-# X = 1e9 peaks at ~406 MB RSS per worker (~5.6 B per integer), so larger
-# segments, and segments whose one sieve call spans more integers (a large
-# delta or h widens it), are refused rather than left to fail in numpy's
-# allocator.
+# One segment holds its sieve mask and event arrays at once: a serial 2^26
+# segment at X = 1e9 peaks ~300 MB above an idle process's ~35 MB RSS (~4.6 B
+# per integer; 4.3-4.6 B at 2^24).  Larger segments, and segments whose one
+# sieve call spans more integers (a large delta or h widens it), are refused
+# rather than left to fail in numpy's allocator.
 MAX_SEGMENT_SIZE = 1 << 26
 
 # mode -> (name of its parameter, (X, param) -> (lo, hi, delta, beta)): the
@@ -95,8 +96,8 @@ def sieve_range(a: float, b: float, delta: float, beta: float) -> tuple[int, int
     return math.floor(a), math.ceil((1.0 + delta) * b + beta) + 1
 
 
-def tasks(mode: str, X, param, ks, segment_size: int, sieve=None) -> list[tuple]:
-    """The sweep_segment tasks of one run of mode over [1, X]."""
+def tasks(mode: str, X, param, ks, segment_size: int) -> list[tuple]:
+    """The (a, b, delta, beta, ks) sweep_segment tasks of one run of mode over [1, X]."""
     name, window = WINDOWS[mode]
     lo, hi, delta, beta = window(X, param)
     pieces = segments(lo, hi, segment_size)
@@ -110,8 +111,7 @@ def tasks(mode: str, X, param, ks, segment_size: int, sieve=None) -> list[tuple]
         raise ValueError(
             f"{name} = {param} makes one segment sieve {span} integers, above "
             f"{MAX_SEGMENT_SIZE}; use a smaller {name}")
-    sieve = sieve if sieve is not None else MangoldtSieve()
-    return [(a, b, delta, beta, ks, sieve) for a, b in pieces]
+    return [(a, b, delta, beta, ks) for a, b in pieces]
 
 
 def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
@@ -122,31 +122,87 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
     values exactly as passed, so an int X and a float X are different runs.
     """
     ks = check_ks(ks)
-    work = tasks(mode, X, param, ks, segment_size, sieve)
+    work = tasks(mode, X, param, ks, segment_size)
     digest = config_digest({"mode": mode, "ks": list(ks), "segment_size": segment_size,
                             "salt": __version_salt__, "x": X, WINDOWS[mode][0]: param})
-    return run_tasks(sweep_segment, work, ks, threads, checkpoint, resume, digest)
+    # The runner hands the worker to each pool process once, so a process
+    # builds the sieve's base primes and grows the buffers once.
+    workspace = Workspace(sieve if sieve is not None else MangoldtSieve())
+    try:
+        return run_tasks(partial(sweep_segment, workspace), work, ks, threads,
+                         checkpoint, resume, digest)
+    finally:
+        # A serial run sweeps in the caller's process: do not leave it the
+        # buffers (~0.2 GB for a 2^26 segment at 1e9).
+        workspace.arrays = ()
 
 
-def window_events(a: float, b: float, delta: float, beta: float, sieve):
+class Workspace:
+    """A process's sieve and the four float64 buffers its segments reuse.
+
+    A large numpy array is a fresh mapping whose pages the kernel zeroes on
+    first touch: with a fresh array per temporary, a 2^22 segment faults in
+    ~9.6k pages (~38 MB).  The sweep writes its arrays into these buffers
+    through out= instead.  They grow to the largest segment the process
+    sweeps, so later segments map no new pages.  Only where values are
+    stored changes, not how they are computed, so the bits are those of
+    fresh arrays.
+    """
+
+    def __init__(self, sieve):
+        self.sieve = sieve
+        self.arrays: tuple[np.ndarray, ...] = ()
+
+    def buffers(self, n: int) -> tuple[np.ndarray, ...]:
+        """The four buffers, grown to hold at least n values each."""
+        if not self.arrays or len(self.arrays[0]) < n:
+            self.arrays = ()  # free the old buffers before mapping new ones
+            # Headroom for a later segment with a few more events; a page is
+            # resident only once it is written.
+            self.arrays = tuple(np.empty(n + n // 8) for _ in range(4))
+        return self.arrays
+
+
+def window_events(a: float, b: float, delta: float, beta: float, workspace: Workspace):
     """Window weight at x = a and the events for x in (a, b), in sweep order.
 
     Returns (s0, coords, signed): coords nondecreasing, a leaving prime power
     with weight -w, an entering one with +w, leaves first on equal coords.
+    coords and signed are views into the workspace, valid until its next
+    window_events call: they sit at [1:n+1] of its first two buffers, so
+    sweep_segment adds the ends around them in place.
     """
-    ns, ws = sieve.events(*sieve_range(a, b, delta, beta))
-    leave = ns.astype(np.float64)
-    enter = (leave - beta) / (1.0 + delta)
+    ns, ws = workspace.sieve.events(*sieve_range(a, b, delta, beta))
+    m = len(ns)
+    # Each prime power leaves and enters at most once: at most 2m events,
+    # plus the two ends.
+    A, B, C, D = workspace.buffers(2 * m + 2)
+    leave, enter = A[:m], B[:m]
+    leave[:] = ns  # the int64 -> float64 cast of ns.astype(np.float64)
+    np.subtract(leave, beta, out=enter)
+    np.divide(enter, 1.0 + delta, out=enter)
     # Both coordinates rise with m, so each condition selects a slice.
     l0, l1 = np.searchsorted(leave, a, "right"), np.searchsorted(leave, b, "left")
     e0, e1 = np.searchsorted(enter, a, "right"), np.searchsorted(enter, b, "left")
     s0 = math.fsum(ws[l0:e0])  # m > a and entered at or before a
-    coords = np.concatenate([leave[l0:l1], enter[e0:e1]])
-    signed = np.concatenate([-ws[l0:l1], ws[e0:e1]])
+    leaves, enters = leave[l0:l1], enter[e0:e1]
+    nl = len(leaves)
+    n = nl + len(enters)
+    coords = np.concatenate((leaves, enters), out=C[:n])
+    signed = D[:n]
+    np.negative(ws[l0:l1], out=signed[:nl])
+    signed[nl:] = ws[e0:e1]
+    # Freed here, the sieve's arrays leave the sort room to reuse; kept, the
+    # sort's arrays grow the heap and ~460 pages fault in every segment.
+    del ns, ws
     # A stable sort merges the two sorted runs in one linear pass and keeps
-    # leaves, which come first, ahead of enters at equal coordinates.
+    # leaves, which come first, ahead of enters at equal coordinates.  leave
+    # and enter are dead, so the sorted events go over them; take's default
+    # mode would gather through a temporary.
     order = np.argsort(coords, kind="stable")
-    return s0, coords[order], signed[order]
+    np.take(coords, order, out=A[1:n + 1], mode="clip")
+    np.take(signed, order, out=B[1:n + 1], mode="clip")
+    return s0, A[1:n + 1], B[1:n + 1]
 
 
 def _fold(v, parts: list) -> None:
@@ -211,14 +267,20 @@ def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:
     return {k: math.fsum(p) / (k + 1) for k, p in parts.items()}
 
 
-def sweep_segment(task) -> dict[int, float]:
+def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     """Per-order integrals of u^k over x in [a, b] for one segment."""
-    a, b, delta, beta, ks, sieve = task
-    s0, coords, signed = window_events(a, b, delta, beta, sieve)
-    x = np.concatenate(([a], coords, [b]))
-    u = np.concatenate(([s0 - beta], signed))
-    del coords, signed
+    a, b, delta, beta, ks = task
+    s0, coords, _ = window_events(a, b, delta, beta, workspace)
+    n = len(coords)
+    A, B, C, D = workspace.arrays
+    x, u = A[:n + 2], B[:n + 1]  # the events are x[1:-1] and u[1:]
+    x[0], x[-1] = a, b
+    u[0] = s0 - beta
     np.cumsum(u, out=u)  # S - beta on each piece
-    u_lo, u_hi, length = u - delta * x[:-1], u - delta * x[1:], np.diff(x)
-    del x, u
+    u_hi, scratch = C[:n + 1], D[:n + 1]
+    np.multiply(x[1:], delta, out=u_hi)
+    np.subtract(u, u_hi, out=u_hi)
+    np.multiply(x[:-1], delta, out=scratch)
+    u_lo = np.subtract(u, scratch, out=u)
+    length = np.subtract(x[1:], x[:-1], out=scratch)
     return power_sums(u_lo, u_hi, length, ks)

@@ -185,8 +185,9 @@ class _CountedFuture(Future):
 class _CountingPool:
     """Runs each task at submit; counts futures whose result is still unread."""
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer, initargs):
         self.in_flight = self.peak = 0
+        initializer(*initargs)  # in this process, as a pool process would
 
     def __enter__(self):
         return self
@@ -205,11 +206,12 @@ class _CountingPool:
 def test_runner_bounded_submissions(monkeypatch, tmp_path):
     pools = []
 
-    def counting_pool(max_workers):
-        pools.append(_CountingPool(max_workers))
+    def counting_pool(max_workers, **init):
+        pools.append(_CountingPool(max_workers, **init))
         return pools[-1]
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(runner, "_worker", None)  # the fake pool sets it here
     n, path = 1000, tmp_path / "ck.jsonl"
     got = run_tasks(_index_worker, range(n), [2], threads=3, checkpoint_path=str(path))
     # A few tasks per worker in flight, not one future per segment.

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import psimoment
-from psimoment import cli
+from psimoment import MangoldtSieve, cli, prime_count
+from psimoment import sieve as sieve_module
 
 from oracles import from_csv
 
@@ -29,6 +30,25 @@ def test_sieve_count(capsys):
     code, out, err = run_cli(["sieve", "--limit", "100000", "--count"], capsys)
     assert code == 0
     assert "9592" in out
+
+
+@pytest.mark.parametrize("n", [2, 30031, 10**6])
+def test_sieve_count_is_one_pass(n, monkeypatch, capsys):
+    # --count takes the prime count and psi from one sieve pass: one mask and
+    # one lambda_segment call per chunk (it used to sieve everything twice).
+    masks, segments = [], []
+    odd_mask, lambda_segment = sieve_module._odd_mask, sieve_module.lambda_segment
+    monkeypatch.setattr(sieve_module, "_odd_mask",
+                        lambda lo, hi, base: masks.append((lo, hi)) or odd_mask(lo, hi, base))
+    monkeypatch.setattr(sieve_module, "lambda_segment",
+                        lambda seg, base: segments.append(seg) or lambda_segment(seg, base))
+    code, out, err = run_cli(["sieve", "--limit", str(n), "--count"], capsys)
+    assert code == 0
+    chunks = list(sieve_module._chunks(0, n))
+    assert masks == chunks
+    assert [(seg.lo, seg.hi) for seg in segments] == chunks
+    assert out == (f"primes<={n}: {prime_count(n)}\n"
+                   f"psi({n}) = {MangoldtSieve().psi(n):.17g}\n")
 
 
 def test_predict_thm_ii(capsys):
@@ -109,7 +129,7 @@ def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
     monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8",
                         ("scaled-integral", 10**4, 0.01))
     timed = []
-    monkeypatch.setattr(cli, "sweep_segment", timed.append)
+    monkeypatch.setattr(cli, "sweep_segment", lambda workspace, task: timed.append(task))
     with caplog.at_level(logging.INFO, logger="psimoment"):
         code = cli.main(["reproduce", "scaled-1e8", "--segment-size", "1024"])
     assert code == 0

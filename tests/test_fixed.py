@@ -77,10 +77,10 @@ def test_mode_consistency_1e6():
 
 
 def test_partition_plan_single_segment(recording_sieve):
-    (task,) = sweep.tasks("fixed-sum", 10, 3, (2,), 10, recording_sieve)
+    (task,) = sweep.tasks("fixed-sum", 10, 3, (2,), 10)
     # Anchors (0, 10] are x in [1, 11], windows (x, x + 3].
     assert task[:4] == (1.0, 11.0, 0.0, 3.0)
-    sweep.sweep_segment(task)
+    sweep.sweep_segment(sweep.Workspace(recording_sieve), task)
     # The windows of anchors 1..10 hold the weights in (1, 13].
     ((lo, hi),) = recording_sieve.ranges
     assert lo <= 1 and hi >= 13

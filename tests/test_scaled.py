@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psimoment import MangoldtSieve, moment_integral_scaled, sweep
-from psimoment.sweep import window_events
+from psimoment.sweep import Workspace, window_events
 
 import oracles
 from oracles import adaptive_simpson
@@ -50,7 +50,7 @@ def up(X):
 
 
 def test_merged_event_stream_hand_example():
-    _, coords, signed = window_events(1.0, up(3.0), 0.5, 0.0, MangoldtSieve())
+    _, coords, signed = window_events(1.0, up(3.0), 0.5, 0.0, Workspace(MangoldtSieve()))
     assert coords.tolist() == pytest.approx([4 / 3, 2.0, 2.0, 8 / 3, 3.0])
     assert coords[1] == 2.0 and coords[4] == 3.0  # leaves sit exactly at m
     assert np.sign(signed).tolist() == [1, -1, 1, 1, -1]  # leave first on ties
@@ -59,20 +59,20 @@ def test_merged_event_stream_hand_example():
 
 
 def test_merged_event_stream_empty():
-    _, coords, signed = window_events(1.0, up(1.4), 0.1, 0.0, MangoldtSieve())
+    _, coords, signed = window_events(1.0, up(1.4), 0.1, 0.0, Workspace(MangoldtSieve()))
     assert len(coords) == 0 and len(signed) == 0
 
 
 def test_enter_count_at_least_leave_count():
     for X, delta in [(100, 0.1), (1000, 0.03), (50, 0.5)]:
-        _, _, signed = window_events(1.0, up(X), delta, 0.0, MangoldtSieve())
+        _, _, signed = window_events(1.0, up(X), delta, 0.0, Workspace(MangoldtSieve()))
         assert np.count_nonzero(signed > 0) >= np.count_nonzero(signed < 0)
 
 
 def test_event_conservation():
     X, delta = 10**4, 0.1
     sieve = MangoldtSieve()
-    _, _, signed = window_events(1.0, up(X), delta, 0.0, sieve)
+    _, _, signed = window_events(1.0, up(X), delta, 0.0, Workspace(sieve))
     entered = math.fsum(signed[signed > 0])
     exited = -math.fsum(signed[signed < 0])
     expected = (
@@ -94,13 +94,14 @@ def test_piece_antiderivative_vs_quadrature():
 
 
 def test_partition_plan_properties(recording_sieve):
-    plan = sweep.tasks("scaled-integral", 10**4, 0.1, (2,), 1000, recording_sieve)
+    plan = sweep.tasks("scaled-integral", 10**4, 0.1, (2,), 1000)
     assert plan[0][0] == 1.0
     assert plan[-1][1] == 10**4
     for prev, cur in zip(plan, plan[1:]):
         assert prev[1] == cur[0]
+    workspace = sweep.Workspace(recording_sieve)
     for task in plan:
-        sweep.sweep_segment(task)
+        sweep.sweep_segment(workspace, task)
     # Each segment's one sieve call holds every weight its windows see.
     assert len(recording_sieve.ranges) == len(plan)
     for (a, b, *_), (lo, hi) in zip(plan, recording_sieve.ranges):
@@ -117,7 +118,7 @@ def test_segmentation_self_consistency_bit_exact():
 
 def test_boundary_window_sum_matches_psi():
     sieve = MangoldtSieve()
-    s = window_events(10**3, 10**3, 0.1, 0.0, sieve)[0]
+    s = window_events(10**3, 10**3, 0.1, 0.0, Workspace(sieve))[0]
     assert s == pytest.approx(sieve.psi(1100) - sieve.psi(1000), abs=1e-9)
 
 

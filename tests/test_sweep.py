@@ -1,14 +1,22 @@
+import json
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psimoment import (MangoldtSieve, moment_integral_fixed, moment_integral_scaled,
-                       moment_sum, sweep)
+import psimoment
+from psimoment import (MangoldtSieve, ZeroMangoldt, moment_integral_fixed,
+                       moment_integral_scaled, moment_sum, sweep)
+from psimoment import sieve as sieve_module
 from psimoment.sweep import BLOCK, power_sums
 
 import oracles
@@ -167,3 +175,152 @@ def test_worker_count_bit_identity(data):
         serial = fn(*args, segment_size=size)
         pooled = fn(*args, segment_size=size, threads=2)
         assert pooled == serial, (fn.__name__, serial, pooled)
+
+
+def test_run_frees_its_workspace(monkeypatch):
+    # A serial run sweeps in the caller's process; its buffers must not
+    # outlive the call, whether it returns or raises.
+    made = []
+
+    class Recorded(sweep.Workspace):
+        def buffers(self, n):
+            made.append(self)
+            return super().buffers(n)
+
+    class FailingSieve(MangoldtSieve):
+        calls = 0
+
+        def events(self, lo, hi):
+            self.calls += 1
+            if self.calls == 2:
+                raise RuntimeError("sieve failed")
+            return super().events(lo, hi)
+
+    monkeypatch.setattr(sweep, "Workspace", Recorded)
+    moment_integral_fixed(1e5, 100.0, [2], segment_size=2**14)
+    assert made and all(ws.arrays == () for ws in made)
+    made.clear()
+    with pytest.raises(RuntimeError, match="sieve failed"):
+        moment_integral_fixed(1e5, 100.0, [2], segment_size=2**14, sieve=FailingSieve())
+    assert made and all(ws.arrays == () for ws in made)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool processes see the patched sieve only when forked")
+def test_base_primes_built_once_per_pool_process(monkeypatch, tmp_path):
+    # 20 segments on 2 workers: each process builds the base primes once
+    # (one build per task when every task carried its own sieve).
+    builds = tmp_path / "builds"
+    small_primes = sieve_module.small_primes
+
+    def counted(limit):
+        with builds.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return small_primes(limit)
+
+    monkeypatch.setattr(sieve_module, "small_primes", counted)
+    moment_integral_scaled(2e7, 1e-4, [2], segment_size=2**20, threads=2)
+    assert 1 <= len(builds.read_text().split()) <= 2
+
+
+KS16 = tuple(range(1, 17))
+SRC = str(Path(psimoment.__file__).resolve().parents[1])
+
+# Each entry names one task, (mode, X, param, segment_size, index), and the
+# sieve it is swept with: large, no events, one integer, delta = 0 beside
+# delta > 0, small, then large again.
+STALE_SEQUENCE = [
+    ("scaled-integral", 1e6, 1e-2, 1 << 17, 3, "mangoldt"),
+    ("scaled-integral", 1e6, 1e-2, 1 << 17, 4, "zero"),
+    ("fixed-integral", 1000.0, 10.0, 1, 500, "mangoldt"),
+    ("fixed-integral", 5e4, 100.0, 4096, 5, "mangoldt"),
+    ("scaled-integral", 5e4, 0.05, 4096, 5, "mangoldt"),
+    ("fixed-sum", 1000, 7, 97, 10, "mangoldt"),
+    ("scaled-integral", 1e6, 1e-2, 1 << 17, 3, "mangoldt"),
+    ("fixed-integral", 1e6, 1e3, 1 << 17, 6, "mangoldt"),
+]
+
+FRESH_PROCESS = """
+import json, sys
+from psimoment import MangoldtSieve, ZeroMangoldt, sweep
+out = []
+for mode, X, param, size, i, sieve in json.loads(sys.argv[1]):
+    task = sweep.tasks(mode, X, param, tuple(range(1, 17)), size)[i]
+    workspace = sweep.Workspace(ZeroMangoldt() if sieve == "zero" else MangoldtSieve())
+    out.append({k: v.hex() for k, v in sweep.sweep_segment(workspace, task).items()})
+print(json.dumps(out))
+"""
+
+
+def _hexes(moments):
+    return {str(k): v.hex() for k, v in moments.items()}
+
+
+def test_stale_buffers_match_fresh_process():
+    # One workspace sweeps large, empty, tiny and large segments in turn; its
+    # buffers then hold longer, stale contents.  Each result must have the
+    # bits of a fresh process, which sweeps each task with a new workspace.
+    mangoldt = MangoldtSieve()
+    workspace = sweep.Workspace(mangoldt)
+    shared = []
+    for mode, X, param, size, i, sieve in STALE_SEQUENCE:
+        workspace.sieve = ZeroMangoldt() if sieve == "zero" else mangoldt
+        task = sweep.tasks(mode, X, param, KS16, size)[i]
+        shared.append(_hexes(sweep.sweep_segment(workspace, task)))
+    fresh = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS, json.dumps(STALE_SEQUENCE)],
+        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        check=True, timeout=120)
+    assert shared == json.loads(fresh.stdout)
+
+
+RUN_SPECS = st.one_of(
+    st.tuples(st.just("fixed-integral"), st.floats(2.0, 3000.0), st.floats(0.0, 50.0)),
+    st.tuples(st.just("scaled-integral"), st.floats(2.0, 3000.0), st.floats(1e-3, 1.0)),
+    st.tuples(st.just("fixed-sum"), st.integers(2, 3000), st.integers(1, 50)),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_shared_workspace_matches_fresh_workspace(data):
+    # The tasks of a few runs, in any order, through one workspace: every
+    # segment returns the bits of the same segment swept with fresh buffers.
+    work = []
+    for mode, X, param in data.draw(st.lists(RUN_SPECS, min_size=1, max_size=4), label="runs"):
+        size = data.draw(st.integers(max(1, math.ceil(X) // 8), math.ceil(X)), label="segment_size")
+        work += sweep.tasks(mode, X, param, (1, 2, 5, 16), size)
+    order = data.draw(st.permutations(range(len(work))), label="order")
+    sieve = MangoldtSieve()
+    workspace = sweep.Workspace(sieve)
+    for i in order:
+        got = sweep.sweep_segment(workspace, work[i])
+        want = sweep.sweep_segment(sweep.Workspace(sieve), work[i])
+        assert _hexes(got) == _hexes(want), work[i]
+
+
+STEADY_FAULTS = """
+import json, resource
+from psimoment import MangoldtSieve, sweep
+tasks = sweep.tasks("scaled-integral", 2e7, 1e-4, (2, 4, 6), 1 << 22)
+workspace = sweep.Workspace(MangoldtSieve())
+faults = []
+for task in tasks[:4]:
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    sweep.sweep_segment(workspace, task)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are counted by Linux's getrusage")
+def test_steady_state_segment_maps_no_fresh_pages():
+    # Once the workspace and the allocator have warmed up (three 2^22
+    # segments near 1e7), a segment faults in almost no new pages.  With a
+    # fresh array per temporary it was ~9.6k pages (~38 MB) per segment.
+    run = subprocess.run([sys.executable, "-c", STEADY_FAULTS],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    faults = json.loads(run.stdout)
+    assert faults[-1] < 1000, faults
