@@ -153,30 +153,24 @@ def lambda_segment(seg: Segment, base: BasePrimes) -> tuple[np.ndarray, np.ndarr
     o0, mask = _odd_mask(seg.lo, seg.hi, base)
     # The mask is dropped, and the logs taken in place, so that fewer large
     # arrays are alive at once: ~1-3% lower peak RSS per worker.
-    prime_ns = np.flatnonzero(mask).astype(np.int64, copy=False)
+    ns = np.flatnonzero(mask).astype(np.int64, copy=False)
     del mask
-    prime_ns *= 2
-    prime_ns += o0
+    ns *= 2
+    ns += o0
     if seg.lo < 2 <= seg.hi:
-        prime_ns = np.concatenate((np.array([2], dtype=np.int64), prime_ns))
-    prime_ws = prime_ns.astype(np.float64)
-    np.log(prime_ws, out=prime_ws)
-
+        ns = np.concatenate((np.array([2], dtype=np.int64), ns))
     power_ns, power_ps = base.powers
     a, b = np.searchsorted(power_ns, (seg.lo, seg.hi), "right")
-    if a == b:
-        return prime_ns, prime_ws
-    # Splice the powers in: each lands after the primes below it and the
-    # powers before it.
-    at = np.searchsorted(prime_ns, power_ns[a:b]) + np.arange(b - a)
-    is_prime = np.ones(len(prime_ns) + b - a, dtype=bool)
-    is_prime[at] = False
-    ns = np.empty(len(is_prime), dtype=np.int64)
-    ns[at] = power_ns[a:b]
-    ns[is_prime] = prime_ns
-    ws = np.empty(len(is_prime), dtype=np.float64)
-    ws[at] = [math.log(p) for p in power_ps[a:b].tolist()]
-    ws[is_prime] = prime_ws
+    if a < b:
+        # Splice the powers in: each lands after the primes below it and the
+        # powers before it.
+        at = np.searchsorted(ns, power_ns[a:b])
+        ns = np.insert(ns, at, power_ns[a:b])
+        at += np.arange(b - a)
+    ws = ns.astype(np.float64)
+    np.log(ws, out=ws)
+    if a < b:
+        ws[at] = [math.log(p) for p in power_ps[a:b].tolist()]  # log p, not log p^m
     return ns, ws
 
 
@@ -207,7 +201,10 @@ class MangoldtSieve:
         if hi <= lo:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
         base = self.base_primes(math.isqrt(hi))
-        ns, ws = zip(*(lambda_segment(Segment(a, b), base) for a, b in _chunks(lo, hi)))
+        chunks = [lambda_segment(Segment(a, b), base) for a, b in _chunks(lo, hi)]
+        if len(chunks) == 1:
+            return chunks[0]  # no copy
+        ns, ws = zip(*chunks)
         return np.concatenate(ns), np.concatenate(ws)
 
     def psi(self, x: float) -> float:

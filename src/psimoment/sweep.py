@@ -27,11 +27,12 @@ __version_salt__ = 3  # bump to invalidate old checkpoints on algorithm change
 
 MAX_ORDER = 16
 
-# power_sums walks the pieces in blocks of BLOCK: a block's running terms and
-# fold temporaries take ~2.3 MB, about one core's L2, and no order copies a
-# whole segment.  2^16 was the fastest of 2^13..2^18 on a 0.46M-piece segment.
-# Blocks start at fixed indices, so the bits do not depend on how the pieces
-# were produced.  Each block folds down to at most FOLD_TO sums.
+# sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
+# buffers, merge permutation and fold temporaries take ~4 MB, and neither
+# the merge nor any order copies a whole segment.  For the fold, 2^16 was
+# the fastest of 2^13..2^18 on a 0.46M-piece segment.  Blocks start at fixed
+# indices, so the bits do not depend on how the pieces were produced.  Each
+# block folds down to at most FOLD_TO sums.
 BLOCK = 1 << 16
 FOLD_TO = 64
 
@@ -40,11 +41,11 @@ FOLD_TO = 64
 # A pool adds only the futures of the few tasks it has in flight.
 MAX_SEGMENTS = 1 << 20
 
-# One segment holds its sieve mask and event arrays at once: a serial 2^26
-# segment at X = 1e9 peaks ~300 MB above an idle process's ~35 MB RSS (~4.6 B
-# per integer; 4.3-4.6 B at 2^24).  Larger segments, and segments whose one
-# sieve call spans more integers (a large delta or h widens it), are refused
-# rather than left to fail in numpy's allocator.
+# One segment holds its sieve arrays and event runs at once: a serial 2^25
+# segment at X = 1e9 peaks ~51-54 MB above an idle process's ~34 MB RSS
+# (~1.6-1.7 B per integer; ~101 MB, ~1.6 B, at 2^26).  Larger segments, and
+# segments whose one sieve call spans more integers (a large delta or h
+# widens it), are refused rather than left to fail in numpy's allocator.
 MAX_SEGMENT_SIZE = 1 << 26
 
 # mode -> (name of its parameter, (X, param) -> (lo, hi, delta, beta)): the
@@ -110,7 +111,7 @@ def tasks(mode: str, X, param, ks, segment_size: int) -> list[tuple]:
     if span > MAX_SEGMENT_SIZE:
         raise ValueError(
             f"{name} = {param} makes one segment sieve {span} integers, above "
-            f"{MAX_SEGMENT_SIZE}; use a smaller {name}")
+            f"{MAX_SEGMENT_SIZE}; use a smaller {name} or segment size")
     return [(a, b, delta, beta, ks) for a, b in pieces]
 
 
@@ -133,76 +134,79 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
                          checkpoint, resume, digest)
     finally:
         # A serial run sweeps in the caller's process: do not leave it the
-        # buffers (~0.2 GB for a 2^26 segment at 1e9).
+        # buffers (~60 MB for a 2^26 segment at 1e9).
         workspace.arrays = ()
 
 
 class Workspace:
-    """A process's sieve and the four float64 buffers its segments reuse.
+    """A process's sieve and the float64 buffers its segments reuse.
 
     A large numpy array is a fresh mapping whose pages the kernel zeroes on
     first touch: with a fresh array per temporary, a 2^22 segment faults in
     ~9.6k pages (~38 MB).  The sweep writes its arrays into these buffers
-    through out= instead.  They grow to the largest segment the process
-    sweeps, so later segments map no new pages.  Only where values are
-    stored changes, not how they are computed, so the bits are those of
-    fresh arrays.
+    through out= instead.  Two hold a segment's two event runs and grow to
+    the largest segment the process sweeps; five hold one block of pieces.
+    So later segments map no new pages.  Only where values are stored
+    changes, not how they are computed, so the bits are those of fresh
+    arrays.
     """
 
     def __init__(self, sieve):
         self.sieve = sieve
         self.arrays: tuple[np.ndarray, ...] = ()
 
-    def buffers(self, n: int) -> tuple[np.ndarray, ...]:
-        """The four buffers, grown to hold at least n values each."""
-        if not self.arrays or len(self.arrays[0]) < n:
+    def buffers(self, m: int) -> tuple[np.ndarray, ...]:
+        """The two run buffers, grown to hold at least m values each, then
+        the five block buffers of BLOCK + 2 values."""
+        if not self.arrays or len(self.arrays[0]) < m:
             self.arrays = ()  # free the old buffers before mapping new ones
             # Headroom for a later segment with a few more events; a page is
             # resident only once it is written.
-            self.arrays = tuple(np.empty(n + n // 8) for _ in range(4))
+            self.arrays = (tuple(np.empty(m + m // 8) for _ in range(2))
+                           + tuple(np.empty(BLOCK + 2) for _ in range(5)))
         return self.arrays
 
 
 def window_events(a: float, b: float, delta: float, beta: float, workspace: Workspace):
-    """Window weight at x = a and the events for x in (a, b), in sweep order.
+    """Window weight at x = a and the events for x in (a, b), as two sorted runs.
 
-    Returns (s0, coords, signed): coords nondecreasing, a leaving prime power
-    with weight -w, an entering one with +w, leaves first on equal coords.
-    coords and signed are views into the workspace, valid until its next
-    window_events call: they sit at [1:n+1] of its first two buffers, so
-    sweep_segment adds the ends around them in place.
+    Returns (s0, leaves, enters, leave_ws, enter_ws): the nondecreasing
+    coordinates where prime powers leave the window and where they enter
+    it, and their weights.  A leave lowers the window weight by its weight,
+    an enter raises it; in sweep order, leaves come first on equal
+    coordinates.  leaves and enters are views into the workspace, valid
+    until its next window_events call.
     """
     ns, ws = workspace.sieve.events(*sieve_range(a, b, delta, beta))
     m = len(ns)
-    # Each prime power leaves and enters at most once: at most 2m events,
-    # plus the two ends.
-    A, B, C, D = workspace.buffers(2 * m + 2)
-    leave, enter = A[:m], B[:m]
+    leave, enter = (buf[:m] for buf in workspace.buffers(m)[:2])
     leave[:] = ns  # the int64 -> float64 cast of ns.astype(np.float64)
+    del ns  # freed before enter's pages are first written
     np.subtract(leave, beta, out=enter)
     np.divide(enter, 1.0 + delta, out=enter)
     # Both coordinates rise with m, so each condition selects a slice.
     l0, l1 = np.searchsorted(leave, a, "right"), np.searchsorted(leave, b, "left")
     e0, e1 = np.searchsorted(enter, a, "right"), np.searchsorted(enter, b, "left")
     s0 = math.fsum(ws[l0:e0])  # m > a and entered at or before a
-    leaves, enters = leave[l0:l1], enter[e0:e1]
-    nl = len(leaves)
-    n = nl + len(enters)
-    coords = np.concatenate((leaves, enters), out=C[:n])
-    signed = D[:n]
-    np.negative(ws[l0:l1], out=signed[:nl])
-    signed[nl:] = ws[e0:e1]
-    # Freed here, the sieve's arrays leave the sort room to reuse; kept, the
-    # sort's arrays grow the heap and ~460 pages fault in every segment.
-    del ns, ws
-    # A stable sort merges the two sorted runs in one linear pass and keeps
-    # leaves, which come first, ahead of enters at equal coordinates.  leave
-    # and enter are dead, so the sorted events go over them; take's default
-    # mode would gather through a temporary.
-    order = np.argsort(coords, kind="stable")
-    np.take(coords, order, out=A[1:n + 1], mode="clip")
-    np.take(signed, order, out=B[1:n + 1], mode="clip")
-    return s0, A[1:n + 1], B[1:n + 1]
+    return s0, leave[l0:l1], enter[e0:e1], ws[l0:l1], ws[e0:e1]
+
+
+def merge_split(leaves, enters, j: int) -> int:
+    """How many leaves are among the first j events of the two runs' merge.
+
+    The merge is the stable sort of leaves then enters, so a leave comes
+    before an enter at an equal coordinate.
+    """
+    lo, hi = max(0, j - len(enters)), min(j, len(leaves))
+    while lo < hi:
+        r = (lo + hi) // 2
+        # With r leaves, the first j events end at enter j-r-1; leave r
+        # comes before it, so more than r leaves are among them.
+        if leaves[r] <= enters[j - r - 1]:
+            lo = r + 1
+        else:
+            hi = r
+    return lo
 
 
 def _fold(v, parts: list) -> None:
@@ -240,47 +244,82 @@ def _fold(v, parts: list) -> None:
         parts.extend(err.tolist())
 
 
-def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:
-    """Sum over pieces of the integral of u^k, u linear from u_lo to u_hi.
+def fold_powers(u_lo, u_hi, q, r, parts: dict[int, list]) -> None:
+    """Fold one block's integrals of u^k into parts[k], for every k in parts.
 
-    A piece of length L integrates to L*P_k/(k+1) with
-    P_k = sum_j u_lo^j u_hi^(k-j) = u_hi*P_(k-1) + u_lo^k; unlike
-    (u_lo^(k+1) - u_hi^(k+1))/((k+1)*slope) this does not cancel as
-    u_lo - u_hi -> 0.  The length is folded into both running terms.
-
-    The pieces are walked in fixed index blocks of BLOCK, so each block's
-    running terms stay in cache; every order's block is folded by _fold and
-    one math.fsum per order adds the folds of all blocks.
+    u runs linearly from u_lo to u_hi on each piece.  A piece of length L
+    integrates to L*P_k/(k+1) with P_k = sum_j u_lo^j u_hi^(k-j) =
+    u_hi*P_(k-1) + u_lo^k; unlike (u_lo^(k+1) - u_hi^(k+1))/((k+1)*slope)
+    this does not cancel as u_lo - u_hi -> 0.  q and r hold the pieces'
+    lengths on entry and become the running terms L*P_k and L*u_lo^k: the
+    length is folded into both.  The 1/(k+1) is left to the caller.
     """
-    parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
-    top = max(parts)
-    for i in range(0, len(length), BLOCK):
-        q = np.array(length[i:i + BLOCK], dtype=np.float64)  # L*P_k
-        r = q.copy()  # L*u_lo^k
-        lo, hi = u_lo[i:i + BLOCK], u_hi[i:i + BLOCK]
-        for k in range(1, top + 1):
-            q *= hi
-            r *= lo
-            q += r
-            if k in parts:
-                _fold(q, parts[k])
-    return {k: math.fsum(p) / (k + 1) for k, p in parts.items()}
+    for k in range(1, max(parts) + 1):
+        q *= u_hi
+        r *= u_lo
+        q += r
+        if k in parts:
+            _fold(q, parts[k])
 
 
 def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
-    """Per-order integrals of u^k over x in [a, b] for one segment."""
+    """Per-order integrals of u^k over x in [a, b] for one segment.
+
+    The n events cut [a, b] into n + 1 pieces: piece i runs from x[i] to
+    x[i+1], where x is a, the merged event coordinates, then b, and its
+    window weight u[i] + beta is s0 plus the signed weights of the first i
+    events.  The pieces are built and folded in fixed index blocks of
+    BLOCK, so the events are never merged as a whole: block [i, j) merges
+    only the events behind x[i..j] and continues the running sum from
+    u[i-1], with the additions of one cumsum over all pieces.  Every order's
+    block is folded by _fold and one math.fsum per order adds the folds of
+    all blocks.
+    """
     a, b, delta, beta, ks = task
-    s0, coords, _ = window_events(a, b, delta, beta, workspace)
-    n = len(coords)
-    A, B, C, D = workspace.arrays
-    x, u = A[:n + 2], B[:n + 1]  # the events are x[1:-1] and u[1:]
-    x[0], x[-1] = a, b
-    u[0] = s0 - beta
-    np.cumsum(u, out=u)  # S - beta on each piece
-    u_hi, scratch = C[:n + 1], D[:n + 1]
-    np.multiply(x[1:], delta, out=u_hi)
-    np.subtract(u, u_hi, out=u_hi)
-    np.multiply(x[:-1], delta, out=scratch)
-    u_lo = np.subtract(u, scratch, out=u)
-    length = np.subtract(x[1:], x[:-1], out=scratch)
-    return power_sums(u_lo, u_hi, length, ks)
+    s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace)
+    x_buf, u_buf, c_buf, d_buf, r_buf = workspace.arrays[2:]
+    n = len(leaves) + len(enters)
+    parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
+    u_buf[0] = s0 - beta  # u[0]; later blocks start from the u[i-1] before them
+    for i in range(0, n + 1, BLOCK):
+        j = min(i + BLOCK, n + 1)
+        pieces = j - i
+        # Events first..last-1 are x[first+1..last]; the first block has x[0]
+        # = a in front of them, the last has x[n+1] = b after them.
+        first, last = max(i - 1, 0), min(j, n)
+        r0, r1 = merge_split(leaves, enters, first), merge_split(leaves, enters, last)
+        t0, t1 = first - r0, last - r1
+        count, nl = last - first, r1 - r0
+        coords, signed = c_buf[:count], d_buf[:count]
+        np.concatenate((leaves[r0:r1], enters[t0:t1]), out=coords)
+        np.negative(leave_ws[r0:r1], out=signed[:nl])
+        signed[nl:] = enter_ws[t0:t1]
+        # A stable sort merges the two sorted runs in one linear pass and
+        # keeps leaves ahead of enters at equal coordinates.  take's default
+        # mode would gather through a temporary.
+        order = np.argsort(coords, kind="stable")
+        lead = 1 if i else 0  # u_buf[0] holds u[i-1] after the first block
+        if not i:
+            x_buf[0] = a
+        np.take(coords, order, out=x_buf[1 - lead:1 - lead + count], mode="clip")
+        if j == n + 1:
+            x_buf[pieces] = b
+        np.take(signed, order, out=u_buf[1:1 + count], mode="clip")
+        # Freed here, the permutation's memory serves the fold's temporaries;
+        # kept through the fold, a mid-run 2^20 segment faulted in ~1.3k
+        # pages instead of ~0.26k.
+        del order
+        x = x_buf[:pieces + 1]
+        u = np.cumsum(u_buf[:lead + pieces], out=u_buf[:lead + pieces])[lead:]
+        last_u = u[-1]
+        u_hi, scratch = c_buf[:pieces], d_buf[:pieces]
+        np.multiply(x[1:], delta, out=u_hi)
+        np.subtract(u, u_hi, out=u_hi)
+        np.multiply(x[:-1], delta, out=scratch)
+        u_lo = np.subtract(u, scratch, out=u)
+        length = np.subtract(x[1:], x[:-1], out=scratch)
+        r = r_buf[:pieces]
+        r[:] = length
+        fold_powers(u_lo, u_hi, length, r, parts)
+        u_buf[0] = last_u
+    return {k: math.fsum(p) / (k + 1) for k, p in parts.items()}

@@ -4,10 +4,12 @@ Everything here deliberately avoids the package's segmented sieve and event
 sweep: prime-power weights come from a divisor table built by repeated
 marking, summatory values from a plain prefix table, moments from window
 slices or piecewise quadrature of the pointwise-evaluated integrand.  The
-one exception is lambda_segment_reference, the package's earlier sieve,
-kept as the bit-for-bit reference of the fast one.  adaptive_simpson is the
-quadrature cross-check of the closed-form main terms, and from_csv reads a
-CSV report back for the round-trip tests.
+exceptions are lambda_segment_reference, the package's earlier sieve, kept
+as the bit-for-bit reference of the fast one, and sweep_segment_reference,
+the earlier full-stream sweep, kept as the bit-for-bit reference of the
+blocked one; power_sums is the blocked fold over whole piece arrays.
+adaptive_simpson is the quadrature cross-check of the closed-form main
+terms, and from_csv reads a CSV report back for the round-trip tests.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from typing import Callable
 
 import numpy as np
 
+from psimoment import sweep
 from psimoment.report import MomentReport, MomentRow
 
 
@@ -201,6 +204,116 @@ def lambda_segment_reference(seg, base) -> tuple[np.ndarray, np.ndarray]:
         return ns[order], ws[order]
     return prime_ns, prime_ws
 
+
+
+def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:
+    """Sum over pieces of the integral of u^k, u linear from u_lo to u_hi.
+
+    The whole-array form of the sweep's power sums: the pieces in fixed
+    index blocks of sweep.BLOCK, each block folded by sweep.fold_powers, and
+    one math.fsum per order over the folds of all blocks.
+    """
+    parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
+    for i in range(0, len(length), sweep.BLOCK):
+        q = np.array(length[i:i + sweep.BLOCK], dtype=np.float64)  # L*P_k
+        r = q.copy()  # L*u_lo^k
+        sweep.fold_powers(u_lo[i:i + sweep.BLOCK], u_hi[i:i + sweep.BLOCK], q, r, parts)
+    return {k: math.fsum(p) / (k + 1) for k, p in parts.items()}
+
+
+def merge_runs(leaves, enters, leave_ws, enter_ws) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, signed): window_events' two runs as one stream in sweep order.
+
+    A leave carries -weight and an enter +weight; the stable sort keeps
+    leaves ahead of enters at equal coordinates.
+    """
+    coords = np.concatenate((leaves, enters))
+    signed = np.concatenate((-leave_ws, enter_ws))
+    order = np.argsort(coords, kind="stable")
+    return coords[order], signed[order]
+
+
+# The full-stream sweep that sweep.sweep_segment replaced, kept as its
+# bit-for-bit reference: it merges a segment's whole event stream and builds
+# every piece before power_sums folds them block by block.
+
+class ReferenceWorkspace:
+    """A process's sieve and the four float64 buffers its segments reuse."""
+
+    def __init__(self, sieve):
+        self.sieve = sieve
+        self.arrays: tuple[np.ndarray, ...] = ()
+
+    def buffers(self, n: int) -> tuple[np.ndarray, ...]:
+        """The four buffers, grown to hold at least n values each."""
+        if not self.arrays or len(self.arrays[0]) < n:
+            self.arrays = ()  # free the old buffers before mapping new ones
+            # Headroom for a later segment with a few more events; a page is
+            # resident only once it is written.
+            self.arrays = tuple(np.empty(n + n // 8) for _ in range(4))
+        return self.arrays
+
+
+def window_events_reference(a: float, b: float, delta: float, beta: float,
+                            workspace: ReferenceWorkspace):
+    """Window weight at x = a and the events for x in (a, b), in sweep order.
+
+    Returns (s0, coords, signed): coords nondecreasing, a leaving prime power
+    with weight -w, an entering one with +w, leaves first on equal coords.
+    coords and signed are views into the workspace, valid until its next
+    window_events call: they sit at [1:n+1] of its first two buffers, so
+    sweep_segment adds the ends around them in place.
+    """
+    ns, ws = workspace.sieve.events(*sweep.sieve_range(a, b, delta, beta))
+    m = len(ns)
+    # Each prime power leaves and enters at most once: at most 2m events,
+    # plus the two ends.
+    A, B, C, D = workspace.buffers(2 * m + 2)
+    leave, enter = A[:m], B[:m]
+    leave[:] = ns  # the int64 -> float64 cast of ns.astype(np.float64)
+    np.subtract(leave, beta, out=enter)
+    np.divide(enter, 1.0 + delta, out=enter)
+    # Both coordinates rise with m, so each condition selects a slice.
+    l0, l1 = np.searchsorted(leave, a, "right"), np.searchsorted(leave, b, "left")
+    e0, e1 = np.searchsorted(enter, a, "right"), np.searchsorted(enter, b, "left")
+    s0 = math.fsum(ws[l0:e0])  # m > a and entered at or before a
+    leaves, enters = leave[l0:l1], enter[e0:e1]
+    nl = len(leaves)
+    n = nl + len(enters)
+    coords = np.concatenate((leaves, enters), out=C[:n])
+    signed = D[:n]
+    np.negative(ws[l0:l1], out=signed[:nl])
+    signed[nl:] = ws[e0:e1]
+    # Freed here, the sieve's arrays leave the sort room to reuse; kept, the
+    # sort's arrays grow the heap and ~460 pages fault in every segment.
+    del ns, ws
+    # A stable sort merges the two sorted runs in one linear pass and keeps
+    # leaves, which come first, ahead of enters at equal coordinates.  leave
+    # and enter are dead, so the sorted events go over them; take's default
+    # mode would gather through a temporary.
+    order = np.argsort(coords, kind="stable")
+    np.take(coords, order, out=A[1:n + 1], mode="clip")
+    np.take(signed, order, out=B[1:n + 1], mode="clip")
+    return s0, A[1:n + 1], B[1:n + 1]
+
+
+def sweep_segment_reference(workspace: ReferenceWorkspace, task) -> dict[int, float]:
+    """Per-order integrals of u^k over x in [a, b] for one segment."""
+    a, b, delta, beta, ks = task
+    s0, coords, _ = window_events_reference(a, b, delta, beta, workspace)
+    n = len(coords)
+    A, B, C, D = workspace.arrays
+    x, u = A[:n + 2], B[:n + 1]  # the events are x[1:-1] and u[1:]
+    x[0], x[-1] = a, b
+    u[0] = s0 - beta
+    np.cumsum(u, out=u)  # S - beta on each piece
+    u_hi, scratch = C[:n + 1], D[:n + 1]
+    np.multiply(x[1:], delta, out=u_hi)
+    np.subtract(u, u_hi, out=u_hi)
+    np.multiply(x[:-1], delta, out=scratch)
+    u_lo = np.subtract(u, scratch, out=u)
+    length = np.subtract(x[1:], x[:-1], out=scratch)
+    return power_sums(u_lo, u_hi, length, ks)
 
 def adaptive_simpson(
     f: Callable[[float], float],

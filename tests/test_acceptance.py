@@ -23,7 +23,7 @@ from psimoment import (
 from psimoment.sweep import Workspace, window_events
 
 import oracles
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, merge_runs
 
 extended = pytest.mark.skipif(
     not os.environ.get("PSIMOMENT_EXTENDED"),
@@ -149,8 +149,9 @@ def test_property_suite():
     X, delta = 10**4, 0.1
     sieve = MangoldtSieve()
     # The events of x in (1, X]: those below the next float after X.
-    _, _, signed = window_events(1.0, math.nextafter(X, math.inf), delta, 0.0,
-                                Workspace(sieve))
+    _, *runs = window_events(1.0, math.nextafter(X, math.inf), delta, 0.0,
+                             Workspace(sieve))
+    _, signed = merge_runs(*runs)
     net = math.fsum(signed)
     indep = (sieve.psi((1 + delta) * X) - sieve.psi(1 + delta)
              - (sieve.psi(X) - sieve.psi(1)))

@@ -1,7 +1,7 @@
 import json
 import math
 import time
-from concurrent.futures import Future
+from concurrent.futures import Future, wait
 
 import pytest
 from hypothesis import given, strategies as st
@@ -162,16 +162,6 @@ def _index_worker(task):
     return {2: float(task)}
 
 
-def test_runner_pool_linear_in_segments():
-    # 8192 short segments on 2 workers: ~1.3 s on 2 CPUs.  Waiting on the
-    # whole remaining set after every completion took ~11 s.
-    n = 1 << 13
-    t0 = time.perf_counter()
-    got = run_tasks(_index_worker, range(n), [2], threads=2)
-    assert time.perf_counter() - t0 < 6.0
-    assert got[2] == n * (n - 1) / 2
-
-
 class _CountedFuture(Future):
     def __init__(self, pool):
         super().__init__()
@@ -201,6 +191,25 @@ class _CountingPool:
         self.in_flight += 1
         self.peak = max(self.peak, self.in_flight)
         return fut
+
+
+def test_runner_pool_linear_in_segments(monkeypatch):
+    # 8192 segments on 2 workers: each completion waits on the few futures in
+    # flight, so the work per completion does not grow with the run.  Waiting
+    # on the whole remaining set after every completion was quadratic.
+    handed = []
+
+    def counted_wait(fs, **kwargs):
+        handed.append(len(fs))
+        return wait(fs, **kwargs)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", _CountingPool)
+    monkeypatch.setattr(runner, "_worker", None)  # the fake pool sets it here
+    monkeypatch.setattr(runner, "wait", counted_wait)
+    n = 1 << 13
+    got = run_tasks(lambda i: {2: float(i)}, range(n), [2], threads=2)
+    assert got[2] == n * (n - 1) / 2
+    assert handed and max(handed) <= 2 * runner.TASKS_PER_WORKER, max(handed)
 
 
 def test_runner_bounded_submissions(monkeypatch, tmp_path):

@@ -170,6 +170,13 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
     assert err.startswith("error: ") and "delta" in err
     assert time.perf_counter() - t0 < 0.5
+    # At the largest segment size every window widens the one sieve call past
+    # the cap, so the message names the segment size too.
+    for args, name in ((["fixed", "--x", "1e9", "--h", "1", "--mode", "integral"], "h"),
+                       (["scaled", "--x", "2e8", "--delta", "1e-9"], "delta")):
+        code, out, err = run_cli(args + ["--segment-size", "67108864"], capsys)
+        assert code == 2, args
+        assert f"use a smaller {name} or segment size" in err, err
 
 
 def test_io_error_exit_code(capsys):

@@ -7,7 +7,7 @@ from psimoment import MangoldtSieve, moment_integral_scaled, sweep
 from psimoment.sweep import Workspace, window_events
 
 import oracles
-from oracles import adaptive_simpson
+from oracles import adaptive_simpson, merge_runs
 
 
 def test_empty_window_closed_form():
@@ -44,13 +44,18 @@ def test_domain_errors():
 
 
 # window_events(1, up(X), ...) returns the events of x in (1, X]: those below
-# the next float after X.  Enters carry +weight, leaves -weight.
+# the next float after X.  Merged, enters carry +weight, leaves -weight.
 def up(X):
     return math.nextafter(X, math.inf)
 
 
+def merged_events(X, delta, sieve=None):
+    _, *runs = window_events(1.0, up(X), delta, 0.0, Workspace(sieve or MangoldtSieve()))
+    return merge_runs(*runs)
+
+
 def test_merged_event_stream_hand_example():
-    _, coords, signed = window_events(1.0, up(3.0), 0.5, 0.0, Workspace(MangoldtSieve()))
+    coords, signed = merged_events(3.0, 0.5)
     assert coords.tolist() == pytest.approx([4 / 3, 2.0, 2.0, 8 / 3, 3.0])
     assert coords[1] == 2.0 and coords[4] == 3.0  # leaves sit exactly at m
     assert np.sign(signed).tolist() == [1, -1, 1, 1, -1]  # leave first on ties
@@ -59,20 +64,20 @@ def test_merged_event_stream_hand_example():
 
 
 def test_merged_event_stream_empty():
-    _, coords, signed = window_events(1.0, up(1.4), 0.1, 0.0, Workspace(MangoldtSieve()))
+    coords, signed = merged_events(1.4, 0.1)
     assert len(coords) == 0 and len(signed) == 0
 
 
 def test_enter_count_at_least_leave_count():
     for X, delta in [(100, 0.1), (1000, 0.03), (50, 0.5)]:
-        _, _, signed = window_events(1.0, up(X), delta, 0.0, Workspace(MangoldtSieve()))
+        _, signed = merged_events(X, delta)
         assert np.count_nonzero(signed > 0) >= np.count_nonzero(signed < 0)
 
 
 def test_event_conservation():
     X, delta = 10**4, 0.1
     sieve = MangoldtSieve()
-    _, _, signed = window_events(1.0, up(X), delta, 0.0, Workspace(sieve))
+    _, signed = merged_events(X, delta, sieve)
     entered = math.fsum(signed[signed > 0])
     exited = -math.fsum(signed[signed < 0])
     expected = (

@@ -11,15 +11,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import psimoment
 from psimoment import (MangoldtSieve, ZeroMangoldt, moment_integral_fixed,
                        moment_integral_scaled, moment_sum, sweep)
 from psimoment import sieve as sieve_module
-from psimoment.sweep import BLOCK, power_sums
+from psimoment.sweep import BLOCK
 
 import oracles
+from oracles import power_sums
 
 ULP = 2.0**-52
 
@@ -324,3 +325,61 @@ def test_steady_state_segment_maps_no_fresh_pages():
                          text=True, check=True, timeout=120)
     faults = json.loads(run.stdout)
     assert faults[-1] < 1000, faults
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_blocked_sweep_matches_full_stream(data):
+    # With blocks of a few pieces, every segment merges and sums across many
+    # block boundaries; each must return the bits of the full-stream sweep,
+    # which merges the whole segment and builds every piece at once.
+    block = data.draw(st.sampled_from([1, 2, 7, 64]), label="BLOCK")
+    mode, X, param = data.draw(RUN_SPECS, label="run")
+    size = data.draw(st.integers(max(1, math.ceil(X) // 8), math.ceil(X)), label="segment_size")
+    sieve = MangoldtSieve()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "BLOCK", block)
+        workspace = sweep.Workspace(sieve)
+        for task in sweep.tasks(mode, X, param, KS16, size):
+            got = sweep.sweep_segment(workspace, task)
+            want = oracles.sweep_segment_reference(oracles.ReferenceWorkspace(sieve), task)
+            assert _hexes(got) == _hexes(want), (block, task)
+
+
+SORTED_RUN = st.lists(st.integers(0, 12), max_size=12).map(
+    lambda v: np.array(sorted(v), dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(leaves=SORTED_RUN, enters=SORTED_RUN)
+@example(leaves=np.array([]), enters=np.array([]))
+@example(leaves=np.array([3.0, 3.0]), enters=np.array([3.0]))
+@example(leaves=np.array([]), enters=np.array([1.0, 2.0]))
+@example(leaves=np.array([1.0, 2.0]), enters=np.array([]))
+def test_merge_split_matches_stable_argsort(leaves, enters):
+    # Of the first j events of the stable merge of leaves then enters, the
+    # leaves are those whose index in the concatenation is below len(leaves).
+    order = np.argsort(np.concatenate((leaves, enters)), kind="stable")
+    for j in range(len(order) + 1):
+        want = int(np.count_nonzero(order[:j] < len(leaves)))
+        assert sweep.merge_split(leaves, enters, j) == want, j
+
+
+TRACED_PEAK = """
+import tracemalloc
+from psimoment import MangoldtSieve, sweep
+task = sweep.tasks("scaled-integral", 2e7, 1e-4, (2, 4, 6), 1 << 22)[3]
+tracemalloc.start()
+sweep.sweep_segment(sweep.Workspace(MangoldtSieve()), task)
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_segment_traced_peak():
+    # One 2^22 segment near 2e7 with a fresh workspace: the run buffers, the
+    # block buffers and the sieve's arrays peak at ~11 MB.  With the merged
+    # event stream in four buffers of 2m+2 values it was ~21.5 MB.
+    run = subprocess.run([sys.executable, "-c", TRACED_PEAK],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert int(run.stdout) < 15 * 2**20, int(run.stdout) / 2**20
