@@ -48,7 +48,7 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", metavar="PATH")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
+    p.add_argument("--format", choices=["csv", "json"])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -157,15 +157,16 @@ def _run_moments(mode, x, param, ks, args) -> MomentReport:
     return _build_report(mode, x, param, ks, actual, time.monotonic() - t0)
 
 
-def _run_predict(args) -> MomentReport:
+def _run_predict(args) -> tuple[MomentReport | None, str]:
     if args.formula == "cramer":
         if args.h is None:
             raise ValueError("--formula cramer requires --h")
+        if args.out is not None or args.format is not None:
+            raise ValueError("--formula cramer writes no report; drop --out and --format")
         short, cramer = predictors.cramer_variance(args.x, args.h)
-        print(f"window variance  h*log(N/h) = {short:.6g}")
-        print(f"Cramer variance  h*log(N)   = {cramer:.6g}")
-        print(f"ratio = {short / cramer:.6f}")
-        return None
+        return None, (f"window variance  h*log(N/h) = {short:.6g}\n"
+                      f"Cramer variance  h*log(N)   = {cramer:.6g}\n"
+                      f"ratio = {short / cramer:.6f}\n")
     if args.formula in ("ms", "thm-i"):
         if args.h is None:
             raise ValueError(f"--formula {args.formula} requires --h")
@@ -174,7 +175,7 @@ def _run_predict(args) -> MomentReport:
         if args.delta is None:
             raise ValueError("--formula thm-ii requires --delta")
         param, mode = args.delta, "scaled-integral"
-    rows = []
+    rows, lines = [], []
     for k in args.k:
         if args.formula == "ms":
             value = predictors.fixed_main_term_from_one(args.x, param, k)
@@ -185,9 +186,9 @@ def _run_predict(args) -> MomentReport:
         else:
             value = predictors.scaled_main_term(args.x, param, k)
             rows.append(MomentRow(k, None, value, None, None))
-        print(f"k={k}  {value:.6g}")
-    return MomentReport(mode=f"predict-{args.formula}", x=args.x,
-                        h_or_delta=param, rows=tuple(rows), wall_seconds=0.0)
+        lines.append(f"k={k}  {value:.6g}\n")
+    return MomentReport(mode=f"predict-{args.formula}", x=args.x, h_or_delta=param,
+                        rows=tuple(rows), wall_seconds=0.0), "".join(lines)
 
 
 REPRODUCE_TABLES = {
@@ -207,7 +208,7 @@ def _projected_seconds(mode, x, param, ks, segment_size, threads) -> tuple[float
     return per_segment * len(tasks) / max(1, threads), len(tasks)
 
 
-def _run_reproduce(args) -> MomentReport:
+def _run_reproduce(args) -> tuple[MomentReport, str]:
     mode, x, param = REPRODUCE_TABLES[args.table]
     ks = (2, 4, 6)
     projected, n_seg = _projected_seconds(
@@ -215,14 +216,13 @@ def _run_reproduce(args) -> MomentReport:
     log.info("projected wall time: %.0f s over %d segments", projected, n_seg)
     if projected > LONG_RUN_SECONDS and not args.confirm_long:
         raise ValueError(
-            f"projected run time {projected / 60:.0f} min exceeds 30 min; "
-            "re-run with --confirm-long to proceed"
+            f"projected run time {projected / 60:.0f} min exceeds "
+            f"{LONG_RUN_SECONDS / 60:.0f} min; re-run with --confirm-long to proceed"
         )
     report = _run_moments(mode, x, param, ks, args)
     log.info("actual wall time: %.0f s (projected %.0f s)",
              report.wall_seconds, projected)
-    sys.stdout.write(render_table(report))
-    return report
+    return report, render_table(report)
 
 
 def main(argv=None) -> int:
@@ -244,16 +244,16 @@ def main(argv=None) -> int:
                 print(prime_count(args.limit))
             return 0
         if args.command in ("fixed", "scaled"):
-            report = _run_moments(*_moment_inputs(args), args.k, args)
+            report, text = _run_moments(*_moment_inputs(args), args.k, args), ""
         elif args.command == "predict":
-            report = _run_predict(args)
-            if report is None or args.format is None:
-                return 0
+            report, text = _run_predict(args)
         else:
-            report = _run_reproduce(args)
-            if args.out is None:
-                return 0
-        emit(report, args.format or "csv", args.out)
+            report, text = _run_reproduce(args)
+        # A report asked for, or the only output, moves the human text to stderr.
+        wanted = args.out is not None or args.format is not None or not text
+        (sys.stderr if wanted else sys.stdout).write(text)
+        if wanted:
+            emit(report, args.format or "csv", args.out)
         return 0
     except (ValueError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -183,7 +183,9 @@ def _chunks(lo: int, hi: int):
 class MangoldtSieve:
     """Reusable segmented sieve; base primes grow lazily and are immutable
     once built.  Instances are picklable and safe to share across workers.
-    Ranges are sieved in chunks of DEFAULT_SEGMENT_SIZE integers.
+    events sieves its range in one call, at ~0.5 B per integer plus 16 B per
+    prime power returned; the sweep caps that range at sweep.MAX_SEGMENT_SIZE.
+    Only the sums stream, by chunks of DEFAULT_SEGMENT_SIZE integers.
     """
 
     def __init__(self):
@@ -200,12 +202,7 @@ class MangoldtSieve:
         """All prime-power (n, weight) pairs with lo < n <= hi."""
         if hi <= lo:
             return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-        base = self.base_primes(math.isqrt(hi))
-        chunks = [lambda_segment(Segment(a, b), base) for a, b in _chunks(lo, hi)]
-        if len(chunks) == 1:
-            return chunks[0]  # no copy
-        ns, ws = zip(*chunks)
-        return np.concatenate(ns), np.concatenate(ws)
+        return lambda_segment(Segment(lo, hi), self.base_primes(math.isqrt(hi)))
 
     def psi(self, x: float) -> float:
         """Summatory function: the sum of weights over n <= floor(x)."""

@@ -42,8 +42,8 @@ FOLD_TO = 64
 MAX_SEGMENTS = 1 << 20
 
 # One segment holds its sieve arrays and event runs at once: a serial 2^25
-# segment at X = 1e9 peaks ~51-54 MB above an idle process's ~34 MB RSS
-# (~1.6-1.7 B per integer; ~101 MB, ~1.6 B, at 2^26).  Larger segments, and
+# segment at X = 1e9 peaks ~54 MB above an idle process's ~34 MB RSS
+# (~1.7 B per integer; ~85 MB, ~1.3 B, at 2^26).  Larger segments, and
 # segments whose one sieve call spans more integers (a large delta or h
 # widens it), are refused rather than left to fail in numpy's allocator.
 MAX_SEGMENT_SIZE = 1 << 26

@@ -5,7 +5,9 @@ sweep: prime-power weights come from a divisor table built by repeated
 marking, summatory values from a plain prefix table, moments from window
 slices or piecewise quadrature of the pointwise-evaluated integrand.  The
 exceptions are lambda_segment_reference, the package's earlier sieve, kept
-as the bit-for-bit reference of the fast one, and sweep_segment_reference,
+as the bit-for-bit reference of the fast one, events_reference, the earlier
+chunked MangoldtSieve.events, kept as the reference of the one-call one,
+and sweep_segment_reference,
 the earlier full-stream sweep, kept as the bit-for-bit reference of the
 blocked one; power_sums is the blocked fold over whole piece arrays.
 adaptive_simpson is the quadrature cross-check of the closed-form main
@@ -22,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from psimoment import sweep
+from psimoment import sieve as sieve_module, sweep
 from psimoment.report import MomentReport, MomentRow
 
 
@@ -204,6 +206,24 @@ def lambda_segment_reference(seg, base) -> tuple[np.ndarray, np.ndarray]:
         return ns[order], ws[order]
     return prime_ns, prime_ws
 
+
+def events_reference(sieve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """All prime-power (n, weight) pairs with lo < n <= hi.
+
+    The chunked MangoldtSieve.events that the one-call one replaced: (lo, hi]
+    is sieved in pieces of psimoment.sieve.DEFAULT_SEGMENT_SIZE integers and the
+    pieces' arrays are concatenated.  The one-call events must return the
+    same ns and the same ws bits.
+    """
+    if hi <= lo:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    base = sieve.base_primes(math.isqrt(hi))
+    chunks = [sieve_module.lambda_segment(sieve_module.Segment(a, b), base)
+              for a, b in sieve_module._chunks(lo, hi)]
+    if len(chunks) == 1:
+        return chunks[0]  # no copy
+    ns, ws = zip(*chunks)
+    return np.concatenate(ns), np.concatenate(ws)
 
 
 def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:

@@ -1,6 +1,9 @@
+import csv
+import io
 import json
 import logging
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -11,6 +14,7 @@ import pytest
 import psimoment
 from psimoment import MangoldtSieve, cli, prime_count
 from psimoment import sieve as sieve_module
+from psimoment.report import CSV_COLUMNS
 
 from oracles import from_csv
 
@@ -67,6 +71,47 @@ def test_predict_cramer(capsys):
     assert "1.15129e+06" in out and "2.30259e+06" in out
 
 
+def test_predict_out_writes_csv(tmp_path, capsys):
+    out_path = tmp_path / "p.csv"
+    code, out, err = run_cli(
+        ["predict", "--formula", "ms", "--x", "1e10", "--h", "1e5", "--k", "2",
+         "--out", str(out_path)], capsys)
+    assert code == 0 and out == ""
+    row, = from_csv(out_path.read_text()).rows
+    assert err == f"k=2  {row.predicted_ms:.6g}\n"
+
+
+def test_predict_format_csv_stdout_is_only_csv(capsys):
+    code, out, err = run_cli(
+        ["predict", "--formula", "thm-i", "--x", "1e10", "--h", "1e5",
+         "--k", "2,4", "--format", "csv"], capsys)
+    assert code == 0
+    records = list(csv.reader(io.StringIO(out)))
+    assert records[0] == CSV_COLUMNS
+    assert [len(r) for r in records[1:]] == [len(CSV_COLUMNS)] * 2
+    assert [row.k for row in from_csv(out).rows] == [2, 4]
+    assert err.startswith("k=2  ")
+
+
+@pytest.mark.parametrize("flag", [["--out", "cramer.csv"], ["--format", "json"]])
+def test_predict_cramer_has_no_report(flag, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(
+        ["predict", "--formula", "cramer", "--x", "1e10", "--h", "1e5", *flag], capsys)
+    assert code == 2 and err.startswith("error: ")
+    assert not (tmp_path / "cramer.csv").exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines()]
+    examples = [shlex.split(line) for line in lines if line.startswith("psimoment ")]
+    assert len(examples) >= 8
+    for words in examples:
+        cli.build_parser().parse_args(words[1:])
+
+
 def test_predict_missing_param(capsys):
     code, out, err = run_cli(["predict", "--formula", "thm-ii", "--x", "1e8"], capsys)
     assert code == 2
@@ -116,13 +161,16 @@ def test_threads_flag_identical_report(tmp_path, capsys):
     assert strip_wall(a.read_text()) == strip_wall(b.read_text())
 
 
-def test_reproduce_refuses_long_run(capsys):
-    # A deliberately tiny segment size inflates the projection far past 30 min
-    # (~3.7 h on 2 CPUs; 65536 projects only ~35 min, too close to the guard).
+def test_reproduce_refuses_long_run(monkeypatch, capsys):
+    # A deliberately tiny segment size inflates the projection: 610k segments
+    # project to ~20 min to ~4 h on 2 CPUs, depending on the machine, so the
+    # guard is lowered to 1 min, which no machine sieves 1e10 within.  Were
+    # the run not refused, it would go ahead for hours.
+    monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 60)
     code, out, err = run_cli(
         ["reproduce", "ms-table", "--segment-size", "16384"], capsys)
     assert code == 2
-    assert "confirm-long" in err
+    assert "exceeds 1 min" in err and "confirm-long" in err
 
 
 def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
@@ -138,6 +186,15 @@ def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
     assert (a, b) == (1 + 8 * 1024, 1 + 9 * 1024)
     assert "projected wall time" in caplog.text
     assert "actual wall time" in caplog.text
+
+
+def test_reproduce_format_json_stdout(monkeypatch, capsys):
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8",
+                        ("scaled-integral", 10**4, 0.01))
+    code, out, err = run_cli(["reproduce", "scaled-1e8", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["mode"] == "scaled-integral"
+    assert "mode=scaled-integral" in err
 
 
 def test_usage_error_exit_code():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from psimoment import MangoldtSieve, prime_count
+from psimoment import MangoldtSieve, prime_count, sweep
+from psimoment import sieve as sieve_module
 from psimoment.sieve import WHEEL, Segment, lambda_segment, small_primes
 
 import oracles
@@ -20,12 +21,22 @@ def wide_base():
     return small_primes(math.isqrt(MAX_LO + MAX_LENGTH))
 
 
-def assert_same_bits(lo, hi, base):
-    ns, ws = lambda_segment(Segment(lo, hi), base)
-    ref_ns, ref_ws = oracles.lambda_segment_reference(Segment(lo, hi), base)
+def assert_equal_bits(got, want, where):
+    (ns, ws), (ref_ns, ref_ws) = got, want
     assert ns.dtype == ref_ns.dtype and ws.dtype == ref_ws.dtype
-    assert np.array_equal(ns, ref_ns), (lo, hi)
-    assert ws.tobytes() == ref_ws.tobytes(), (lo, hi)
+    assert np.array_equal(ns, ref_ns), where
+    assert ws.tobytes() == ref_ws.tobytes(), where
+
+
+def assert_same_bits(lo, hi, base):
+    seg = Segment(lo, hi)
+    assert_equal_bits(lambda_segment(seg, base),
+                      oracles.lambda_segment_reference(seg, base), (lo, hi))
+
+
+def assert_same_events(sieve, lo, hi):
+    assert_equal_bits(sieve.events(lo, hi), oracles.events_reference(sieve, lo, hi),
+                      (lo, hi))
 
 
 def test_small_primes_trivial():
@@ -120,6 +131,31 @@ def test_lambda_segment_minimal_base_matches_reference():
         base = small_primes(max(math.isqrt(hi), 2))
         for lo in (0, hi // 2, hi - 1):
             assert_same_bits(lo, hi, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_events_matches_chunked_reference(data):
+    # With chunks of a few integers the reference concatenates across many
+    # chunk edges; the one sieve call must return its ns and ws bits.
+    chunk = data.draw(st.sampled_from([1, 7, 1000, 30031]), label="chunk")
+    lo = data.draw(st.integers(0, MAX_LO), label="lo")
+    length = data.draw(st.integers(0, 4 * chunk + 200), label="length")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sieve_module, "DEFAULT_SEGMENT_SIZE", chunk)
+        assert_same_events(MangoldtSieve(), lo, lo + length)
+
+
+@pytest.mark.parametrize("mode,param", [("scaled-integral", 1e-4),
+                                        ("fixed-integral", 1e5)])
+def test_events_matches_chunked_reference_on_last_full_span(mode, param):
+    # The last full 2^22 segment of a 1e8 run: its one sieve call reaches
+    # past the chunk size by the window's width.
+    tasks = sweep.tasks(mode, 1e8, param, (2,), sieve_module.DEFAULT_SEGMENT_SIZE)
+    a, b, delta, beta, _ = max(tasks[-2:], key=lambda t: t[1] - t[0])
+    lo, hi = sweep.sieve_range(a, b, delta, beta)
+    assert hi - lo > sieve_module.DEFAULT_SEGMENT_SIZE
+    assert_same_events(MangoldtSieve(), lo, hi)
 
 
 def test_prime_count_matches_small_primes():

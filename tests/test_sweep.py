@@ -314,6 +314,20 @@ print(json.dumps(faults))
 """
 
 
+def test_full_segment_sieves_once(monkeypatch):
+    # A full 2^22 segment's sieve call reaches past 2^22 integers by the
+    # window's width; it is still one lambda_segment call (chunked, it was
+    # two and a concatenation).
+    calls = []
+    lambda_segment = sieve_module.lambda_segment
+    monkeypatch.setattr(sieve_module, "lambda_segment",
+                        lambda seg, base: calls.append(seg) or lambda_segment(seg, base))
+    task = sweep.tasks("scaled-integral", 2e7, 1e-4, (2,), 1 << 22)[3]
+    assert task[1] - task[0] == 1 << 22
+    sweep.sweep_segment(sweep.Workspace(MangoldtSieve()), task)
+    assert len(calls) == 1, calls
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="minor page faults are counted by Linux's getrusage")
 def test_steady_state_segment_maps_no_fresh_pages():
