@@ -26,7 +26,7 @@ from .predictors import (
     scaled_main_term,
 )
 from .scaled import moment_integral_scaled
-from .sieve import MangoldtSieve, ZeroMangoldt, prime_count
+from .sieve import MangoldtSieve, prime_count
 
 __all__ = [
     "__version__",
@@ -41,6 +41,5 @@ __all__ = [
     "fixed_main_term_from_one",
     "cramer_variance",
     "MangoldtSieve",
-    "ZeroMangoldt",
     "prime_count",
 ]

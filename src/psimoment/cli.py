@@ -93,36 +93,32 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _predictions(mode: str, x: float, param: float, k: int):
-    """(predicted_thm, predicted_ms) for one row; None where no claim holds."""
-    if k % 2:
-        return None, None
-    thm = ms = None
-    if mode in ("fixed-sum", "fixed-integral"):
-        try:
-            thm = predictors.fixed_main_term(x, param, k)
-        except ValueError:
-            pass
-        try:
-            ms = predictors.fixed_main_term_from_one(x, param, k)
-        except ValueError:
-            pass
-    else:
-        try:
-            thm = predictors.scaled_main_term(x, param, k)
-        except ValueError:
-            pass
-    return thm, ms
+# formula -> (its parameter flag, its predictors function, the report column
+# it fills).  A moment report fills, for even k, the columns of the formulas
+# that take its mode's parameter and make a claim there (no ValueError).
+# Like MOMENT_FUNCTIONS, the function is looked up when called.
+FORMULAS = {
+    "thm-i": ("h", "fixed_main_term", "predicted_thm"),
+    "ms": ("h", "fixed_main_term_from_one", "predicted_ms"),
+    "thm-ii": ("delta", "scaled_main_term", "predicted_thm"),
+}
 
 
 def _build_report(mode, x, param, ks, actual, wall) -> MomentReport:
+    flag = sweep.WINDOWS[mode][0]
     rows = []
     for k in ks:
-        thm, ms = _predictions(mode, x, param, k)
+        columns = {"predicted_thm": None, "predicted_ms": None}
+        for want, name, column in FORMULAS.values():
+            if want == flag and k % 2 == 0:
+                try:
+                    columns[column] = getattr(predictors, name)(x, param, k)
+                except ValueError:
+                    pass
         a = actual.get(k) if actual else None
+        thm = columns["predicted_thm"]
         ratio = a / thm if (a is not None and thm) else None
-        rows.append(MomentRow(k=k, actual=a, predicted_thm=thm,
-                              predicted_ms=ms, ratio=ratio))
+        rows.append(MomentRow(k=k, actual=a, ratio=ratio, **columns))
     return MomentReport(mode=mode, x=x, h_or_delta=param, rows=tuple(rows),
                         wall_seconds=wall)
 
@@ -167,25 +163,15 @@ def _run_predict(args) -> tuple[MomentReport | None, str]:
         return None, (f"window variance  h*log(N/h) = {short:.6g}\n"
                       f"Cramer variance  h*log(N)   = {cramer:.6g}\n"
                       f"ratio = {short / cramer:.6f}\n")
-    if args.formula in ("ms", "thm-i"):
-        if args.h is None:
-            raise ValueError(f"--formula {args.formula} requires --h")
-        param, mode = args.h, "fixed-integral"
-    else:
-        if args.delta is None:
-            raise ValueError("--formula thm-ii requires --delta")
-        param, mode = args.delta, "scaled-integral"
+    flag, name, column = FORMULAS[args.formula]
+    param = getattr(args, flag)
+    if param is None:
+        raise ValueError(f"--formula {args.formula} requires --{flag}")
     rows, lines = [], []
     for k in args.k:
-        if args.formula == "ms":
-            value = predictors.fixed_main_term_from_one(args.x, param, k)
-            rows.append(MomentRow(k, None, None, value, None))
-        elif args.formula == "thm-i":
-            value = predictors.fixed_main_term(args.x, param, k)
-            rows.append(MomentRow(k, None, value, None, None))
-        else:
-            value = predictors.scaled_main_term(args.x, param, k)
-            rows.append(MomentRow(k, None, value, None, None))
+        value = getattr(predictors, name)(args.x, param, k)
+        columns = {"predicted_thm": None, "predicted_ms": None, column: value}
+        rows.append(MomentRow(k=k, actual=None, ratio=None, **columns))
         lines.append(f"k={k}  {value:.6g}\n")
     return MomentReport(mode=f"predict-{args.formula}", x=args.x, h_or_delta=param,
                         rows=tuple(rows), wall_seconds=0.0), "".join(lines)
@@ -199,13 +185,20 @@ REPRODUCE_TABLES = {
 
 
 def _projected_seconds(mode, x, param, ks, segment_size, threads) -> tuple[float, int]:
-    """Time the last full-size segment, the costliest kind, and extrapolate."""
+    """Time the last full-size segment, the costliest kind, and extrapolate.
+
+    The first sweep builds the base primes and maps the buffers, which a run
+    pays once per process, so the steady time per segment is the median of
+    the three sweeps after it in the same workspace.
+    """
     tasks = sweep.tasks(mode, x, param, ks, segment_size)
     task = max(tasks[-2:], key=lambda t: t[1] - t[0])  # skip a short remainder
-    t0 = time.monotonic()
-    sweep_segment(Workspace(MangoldtSieve()), task)
-    per_segment = time.monotonic() - t0
-    return per_segment * len(tasks) / max(1, threads), len(tasks)
+    workspace, times = Workspace(MangoldtSieve()), []
+    for _ in range(4):
+        t0 = time.monotonic()
+        sweep_segment(workspace, task)
+        times.append(time.monotonic() - t0)
+    return sorted(times[1:])[1] * len(tasks) / max(1, threads), len(tasks)
 
 
 def _run_reproduce(args) -> tuple[MomentReport, str]:

@@ -228,13 +228,6 @@ class MangoldtSieve:
         return count, math.fsum(sums)
 
 
-class ZeroMangoldt:
-    """Test seam: a sieve whose weight stream is identically zero."""
-
-    def events(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-
-
 def prime_count(limit: int) -> int:
     """Number of primes <= limit (segmented, for CLI smoke tests)."""
     if limit < 2:

@@ -15,6 +15,7 @@ same bits for any worker count.
 from __future__ import annotations
 
 import math
+import sys
 from functools import partial
 
 import numpy as np
@@ -41,11 +42,12 @@ FOLD_TO = 64
 # A pool adds only the futures of the few tasks it has in flight.
 MAX_SEGMENTS = 1 << 20
 
-# One segment holds its sieve arrays and event runs at once: a serial 2^25
-# segment at X = 1e9 peaks ~54 MB above an idle process's ~34 MB RSS
-# (~1.7 B per integer; ~85 MB, ~1.3 B, at 2^26).  Larger segments, and
-# segments whose one sieve call spans more integers (a large delta or h
-# widens it), are refused rather than left to fail in numpy's allocator.
+# One segment holds its sieve arrays and event runs at once, so its memory
+# grows with its one sieve call's span, which is longer than the segment by
+# the window's width: a serial 2^25 segment at X = 1e9 peaks ~54 MB above an
+# idle process's ~34 MB RSS (~1.7 B per integer; ~85 MB, ~1.3 B, at 2^26).
+# A run where one segment would sieve more integers (a large segment size,
+# delta or h) is refused rather than left to fail in numpy's allocator.
 MAX_SEGMENT_SIZE = 1 << 26
 
 # mode -> (name of its parameter, (X, param) -> (lo, hi, delta, beta)): the
@@ -77,8 +79,9 @@ def check_finite(**values: float) -> None:
 
 def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
     """Consecutive (a, b) pieces of length at most size covering [lo, hi]."""
-    if not 1 <= size <= MAX_SEGMENT_SIZE:
-        raise ValueError(f"segment_size must be in [1, {MAX_SEGMENT_SIZE}], got {size}")
+    # NaN fails every comparison; an int past the float range would overflow.
+    if not 1 <= size <= sys.float_info.max:
+        raise ValueError(f"segment_size must be finite and at least 1, got {size}")
     if (hi - lo) / size > MAX_SEGMENTS:
         raise ValueError(
             f"{hi - lo:g} / segment_size {size} exceeds {MAX_SEGMENTS} segments; "

@@ -11,7 +11,8 @@ and sweep_segment_reference,
 the earlier full-stream sweep, kept as the bit-for-bit reference of the
 blocked one; power_sums is the blocked fold over whole piece arrays.
 adaptive_simpson is the quadrature cross-check of the closed-form main
-terms, and from_csv reads a CSV report back for the round-trip tests.
+terms, from_csv reads a CSV report back for the round-trip tests, and
+ZeroMangoldt is the all-zero weight stream for the moments' sieve= keyword.
 """
 
 from __future__ import annotations
@@ -224,6 +225,15 @@ def events_reference(sieve, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         return chunks[0]  # no copy
     ns, ws = zip(*chunks)
     return np.concatenate(ns), np.concatenate(ws)
+
+
+class ZeroMangoldt:
+    """A sieve whose weight stream is identically zero: every window weight
+    is 0, so each moment has a closed form.  It goes through the moment
+    functions' sieve= keyword."""
+
+    def events(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
 def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:

@@ -1,7 +1,7 @@
 """Acceptance suite: one pass/fail line per criterion, tolerances pinned.
 
-The two published-table "extended" reproductions are hours-scale and only
-run when PSIMOMENT_EXTENDED=1 is set.
+The two published-table "extended" reproductions at X = 1e10 take about a
+minute each on 2 CPUs and only run when PSIMOMENT_EXTENDED=1 is set.
 """
 
 import math
@@ -27,7 +27,7 @@ from oracles import adaptive_simpson, merge_runs
 
 extended = pytest.mark.skipif(
     not os.environ.get("PSIMOMENT_EXTENDED"),
-    reason="hours-scale table reproduction; set PSIMOMENT_EXTENDED=1",
+    reason="1e10 table reproduction (~1 min on 2 CPUs); set PSIMOMENT_EXTENDED=1",
 )
 
 

@@ -177,11 +177,16 @@ def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
     monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8",
                         ("scaled-integral", 10**4, 0.01))
     timed = []
-    monkeypatch.setattr(cli, "sweep_segment", lambda workspace, task: timed.append(task))
+    monkeypatch.setattr(cli, "sweep_segment",
+                        lambda workspace, task: timed.append((workspace, task)))
     with caplog.at_level(logging.INFO, logger="psimoment"):
         code = cli.main(["reproduce", "scaled-1e8", "--segment-size", "1024"])
     assert code == 0
-    (a, b, *_), = timed
+    # One untimed warm-up sweep, then three timed ones, all in one workspace.
+    assert len(timed) == 4
+    assert len({id(workspace) for workspace, _ in timed}) == 1
+    assert len({task for _, task in timed}) == 1
+    (a, b, *_) = timed[0][1]
     # The last of the 10 segments is a short remainder; the one before is full.
     assert (a, b) == (1 + 8 * 1024, 1 + 9 * 1024)
     assert "projected wall time" in caplog.text
@@ -234,6 +239,40 @@ def test_domain_error_exit_code(capsys):
         code, out, err = run_cli(args + ["--segment-size", "67108864"], capsys)
         assert code == 2, args
         assert f"use a smaller {name} or segment size" in err, err
+
+
+def test_segment_size_past_the_span_cap_cuts_one_segment(capsys):
+    # The sieve span is a segment's only cap: a segment size past 2^26 cuts
+    # [1, 1e6] into the same one segment as --segment-size 1000000.
+    args = ["scaled", "--x", "1e6", "--delta", "1e-4", "--k", "2", "--segment-size"]
+    code, large, err = run_cli(args + ["134217728"], capsys)
+    assert code == 0, err
+    code, exact, err = run_cli(args + ["1000000"], capsys)
+    assert code == 0, err
+    assert strip_wall(large) == strip_wall(exact)
+
+
+def test_report_prediction_columns(capsys):
+    # Odd k has no claim.  At X/h below norm_scale the theorem form has none
+    # either, while the variant integrated from x = 1 has one.
+    code, out, err = run_cli(["fixed", "--x", "100", "--h", "50", "--k", "1,2"], capsys)
+    assert code == 0, err
+    odd, even = from_csv(out).rows
+    assert (odd.predicted_thm, odd.predicted_ms, odd.ratio) == (None, None, None)
+    assert (even.predicted_thm, even.ratio) == (None, None)
+    assert even.predicted_ms == psimoment.fixed_main_term_from_one(100, 50, 2)
+    # Scaled windows have no variant from x = 1, and at delta >= 1/norm_scale
+    # no theorem form, although the fixed one would take 0.5 as its h.
+    code, out, err = run_cli(
+        ["scaled", "--x", "1000", "--delta", "0.05", "--k", "1,2,4"], capsys)
+    assert code == 0, err
+    rows = from_csv(out).rows
+    assert [row.predicted_ms for row in rows] == [None, None, None]
+    assert [row.predicted_thm is None for row in rows] == [True, False, False]
+    code, out, err = run_cli(["scaled", "--x", "1000", "--delta", "0.5", "--k", "2"], capsys)
+    assert code == 0, err
+    (row,) = from_csv(out).rows
+    assert (row.predicted_thm, row.predicted_ms, row.ratio) == (None, None, None)
 
 
 def test_io_error_exit_code(capsys):

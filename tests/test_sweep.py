@@ -14,13 +14,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import psimoment
-from psimoment import (MangoldtSieve, ZeroMangoldt, moment_integral_fixed,
-                       moment_integral_scaled, moment_sum, sweep)
+from psimoment import (MangoldtSieve, moment_integral_fixed, moment_integral_scaled,
+                       moment_sum, sweep)
 from psimoment import sieve as sieve_module
 from psimoment.sweep import BLOCK
 
 import oracles
-from oracles import power_sums
+from oracles import ZeroMangoldt, power_sums
 
 ULP = 2.0**-52
 
@@ -154,11 +154,17 @@ def test_segment_cap(monkeypatch):
     assert len(sweep.segments(0.0, 12.0, 3)) == 4
     with pytest.raises(ValueError, match="exceeds 4 segments"):
         sweep.segments(0.0, 13.0, 3)
-    # One segment's sieve and event arrays grow with its size.
+    # One segment's memory grows with its sieve span, the only cap: a segment
+    # size past it cuts a short run into one segment, which fits, and a long
+    # run into full segments, which do not.
     cap = sweep.MAX_SEGMENT_SIZE
     assert sweep.segments(0.0, 2.0 * cap, cap) == [(0.0, cap), (cap, 2.0 * cap)]
-    with pytest.raises(ValueError, match="segment_size"):
-        sweep.segments(0.0, 10.0, cap + 1)
+    assert len(sweep.tasks("fixed-integral", 1000.0, 1.0, (2,), cap + 1)) == 1
+    with pytest.raises(ValueError, match="makes one segment sieve"):
+        sweep.tasks("fixed-integral", 3.0 * cap, 1.0, (2,), cap + 1)
+    for size in (0, math.nan, math.inf, 10**400):  # 10**400 overflows a float
+        with pytest.raises(ValueError, match="segment_size"):
+            sweep.segments(0.0, 10.0, size)
 
 
 @settings(max_examples=8, deadline=None)
@@ -226,6 +232,7 @@ def test_base_primes_built_once_per_pool_process(monkeypatch, tmp_path):
 
 KS16 = tuple(range(1, 17))
 SRC = str(Path(psimoment.__file__).resolve().parents[1])
+TESTS = str(Path(__file__).resolve().parent)
 
 # Each entry names one task, (mode, X, param, segment_size, index), and the
 # sieve it is swept with: large, no events, one integer, delta = 0 beside
@@ -243,7 +250,8 @@ STALE_SEQUENCE = [
 
 FRESH_PROCESS = """
 import json, sys
-from psimoment import MangoldtSieve, ZeroMangoldt, sweep
+from oracles import ZeroMangoldt
+from psimoment import MangoldtSieve, sweep
 out = []
 for mode, X, param, size, i, sieve in json.loads(sys.argv[1]):
     task = sweep.tasks(mode, X, param, tuple(range(1, 17)), size)[i]
@@ -270,7 +278,7 @@ def test_stale_buffers_match_fresh_process():
         shared.append(_hexes(sweep.sweep_segment(workspace, task)))
     fresh = subprocess.run(
         [sys.executable, "-c", FRESH_PROCESS, json.dumps(STALE_SEQUENCE)],
-        env={**os.environ, "PYTHONPATH": SRC}, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join((SRC, TESTS))}, capture_output=True, text=True,
         check=True, timeout=120)
     assert shared == json.loads(fresh.stdout)
 
