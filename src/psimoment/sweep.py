@@ -5,7 +5,8 @@ weight of the prime powers m in the window (x, (1+delta)x + beta]: fixed
 windows use delta = 0 and beta = h, proportional windows use delta and
 beta = 0.  A prime power leaves the window at x = m and enters it at
 x = (m - beta)/(1+delta), so S is constant between consecutive events and u
-is linear on each piece.  The integral is an exact sum over pieces.
+is linear on each piece, constant when delta = 0.  The integral is an exact
+sum over pieces, folded block by block in the workspace's own buffers.
 
 Every segment rebuilds its window state from one sieve call, so segments are
 independent and the ordered reduction in :mod:`psimoment.runner` gives the
@@ -24,16 +25,16 @@ from .checkpoint import config_digest
 from .runner import run_tasks
 from .sieve import MangoldtSieve
 
-__version_salt__ = 3  # bump to invalidate old checkpoints on algorithm change
+__version_salt__ = 4  # bump to invalidate old checkpoints on algorithm change
 
 MAX_ORDER = 16
 
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
-# buffers, merge permutation and fold temporaries take ~4 MB, and neither
-# the merge nor any order copies a whole segment.  For the fold, 2^16 was
-# the fastest of 2^13..2^18 on a 0.46M-piece segment.  Blocks start at fixed
-# indices, so the bits do not depend on how the pieces were produced.  Each
-# block folds down to at most FOLD_TO sums.
+# buffers and merge permutation take ~3 MB, and neither the merge nor any
+# order copies a whole segment.  For the fold, 2^16 was the fastest of
+# 2^13..2^18 on a 0.46M-piece segment.  Blocks start at fixed indices, so
+# the bits do not depend on how the pieces were produced.  Each block folds
+# down to at most FOLD_TO sums.
 BLOCK = 1 << 16
 FOLD_TO = 64
 
@@ -149,9 +150,10 @@ class Workspace:
     ~9.6k pages (~38 MB).  The sweep writes its arrays into these buffers
     through out= instead.  Two hold a segment's two event runs and grow to
     the largest segment the process sweeps; five hold one block of pieces.
-    So later segments map no new pages.  Only where values are stored
-    changes, not how they are computed, so the bits are those of fresh
-    arrays.
+    Once a block's pieces are built, the one that held their coordinates and
+    the merge's permutation are the fold's scratch.  So later segments map
+    no new pages.  Only where values are stored changes, not how they are
+    computed, so the bits are those of fresh arrays.
     """
 
     def __init__(self, sieve):
@@ -186,7 +188,8 @@ def window_events(a: float, b: float, delta: float, beta: float, workspace: Work
     leave[:] = ns  # the int64 -> float64 cast of ns.astype(np.float64)
     del ns  # freed before enter's pages are first written
     np.subtract(leave, beta, out=enter)
-    np.divide(enter, 1.0 + delta, out=enter)
+    if 1.0 + delta != 1.0:  # dividing by 1.0 is exact, so skipping it keeps the bits
+        np.divide(enter, 1.0 + delta, out=enter)
     # Both coordinates rise with m, so each condition selects a slice.
     l0, l1 = np.searchsorted(leave, a, "right"), np.searchsorted(leave, b, "left")
     e0, e1 = np.searchsorted(enter, a, "right"), np.searchsorted(enter, b, "left")
@@ -212,7 +215,7 @@ def merge_split(leaves, enters, j: int) -> int:
     return lo
 
 
-def _fold(v, parts: list) -> None:
+def _fold(v, parts: list, scratch) -> None:
     """Append to parts floats that add up to v's sum.
 
     That is at most FOLD_TO sums and FOLD_TO errors, plus one of each per
@@ -225,8 +228,14 @@ def _fold(v, parts: list) -> None:
     more than ~13 of its digits (sum|v| / |sum v| > ~1e13).  Elementwise
     operations only, so the bits are a function of the values and their
     positions, never of memory layout or SIMD width.
+
+    v is only read.  Each level writes its sums and errors into the halves
+    of one of the two scratch arrays, (out, spare), which take turns: out
+    holds at least len(v) values, spare at least len(v) // 2, and neither
+    shares memory with v or with the other.  Nothing is allocated.
     """
     err = None
+    out, spare = scratch
     while len(v) > FOLD_TO:
         h = len(v) // 2
         if len(v) % 2:
@@ -234,35 +243,44 @@ def _fold(v, parts: list) -> None:
             if err is not None:
                 parts.append(float(err[-1]))
         a, b = v[:h], v[h:2 * h]
-        s = a + b
-        z = s - a
-        e = a - (s - z)
-        e += b - z
+        # b - z goes over b once v is this fold's own scratch.
+        w = spare[:h] if err is None else b
+        s = np.add(a, b, out=out[:h])
+        e = np.subtract(s, a, out=out[h:2 * h])  # z
+        np.subtract(b, e, out=w)  # b - z
+        np.subtract(s, e, out=e)  # s - z
+        np.subtract(a, e, out=e)  # a - (s - z)
+        e += w
         if err is not None:
             e += err[:h]
             e += err[h:2 * h]
         v, err = s, e
+        out, spare = spare, out
     parts.extend(v.tolist())
     if err is not None:
         parts.extend(err.tolist())
 
 
-def fold_powers(u_lo, u_hi, q, r, parts: dict[int, list]) -> None:
+def fold_powers(u_lo, u_hi, q, r, parts: dict[int, list], scratch) -> None:
     """Fold one block's integrals of u^k into parts[k], for every k in parts.
 
-    u runs linearly from u_lo to u_hi on each piece.  A piece of length L
-    integrates to L*P_k/(k+1) with P_k = sum_j u_lo^j u_hi^(k-j) =
-    u_hi*P_(k-1) + u_lo^k; unlike (u_lo^(k+1) - u_hi^(k+1))/((k+1)*slope)
-    this does not cancel as u_lo - u_hi -> 0.  q and r hold the pieces'
-    lengths on entry and become the running terms L*P_k and L*u_lo^k: the
-    length is folded into both.  The 1/(k+1) is left to the caller.
+    r holds the pieces' lengths L on entry.  With u_hi None (delta = 0) u is
+    constant, u_lo, on each piece, and a piece integrates to L*u^k: r
+    becomes that, one rounding per order, and q is unused.  Otherwise u runs
+    linearly from u_lo to u_hi on each piece, which integrates to
+    L*P_k/(k+1) with P_k = sum_j u_lo^j u_hi^(k-j) = u_hi*P_(k-1) + u_lo^k;
+    unlike (u_lo^(k+1) - u_hi^(k+1))/((k+1)*slope) this does not cancel as
+    u_lo - u_hi -> 0.  q also holds L on entry, and q and r become the
+    running terms L*P_k and L*u_lo^k: the length is folded into both, and
+    the 1/(k+1) is left to the caller.  scratch is _fold's.
     """
     for k in range(1, max(parts) + 1):
-        q *= u_hi
         r *= u_lo
-        q += r
+        if u_hi is not None:
+            q *= u_hi
+            q += r
         if k in parts:
-            _fold(q, parts[k])
+            _fold(r if u_hi is None else q, parts[k], scratch)
 
 
 def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
@@ -276,7 +294,8 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     only the events behind x[i..j] and continues the running sum from
     u[i-1], with the additions of one cumsum over all pieces.  Every order's
     block is folded by _fold and one math.fsum per order adds the folds of
-    all blocks.
+    all blocks.  With delta = 0 u is constant on each piece and a piece's
+    term is its integral L*u^k; otherwise the term is (k+1) times it.
     """
     a, b, delta, beta, ks = task
     s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace)
@@ -298,9 +317,12 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
         np.negative(leave_ws[r0:r1], out=signed[:nl])
         signed[nl:] = enter_ws[t0:t1]
         # A stable sort merges the two sorted runs in one linear pass and
-        # keeps leaves ahead of enters at equal coordinates.  take's default
-        # mode would gather through a temporary.
-        order = np.argsort(coords, kind="stable")
+        # keeps leaves ahead of enters at equal coordinates.  Every coordinate
+        # lies in (a, b) with a >= 1, so it is positive and finite, and such
+        # doubles sort as their bit patterns do: sorting the int64 view gives
+        # the same permutation, faster.  take's default mode would gather
+        # through a temporary.
+        order = np.argsort(coords.view(np.int64), kind="stable")
         lead = 1 if i else 0  # u_buf[0] holds u[i-1] after the first block
         if not i:
             x_buf[0] = a
@@ -308,21 +330,20 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
         if j == n + 1:
             x_buf[pieces] = b
         np.take(signed, order, out=u_buf[1:1 + count], mode="clip")
-        # Freed here, the permutation's memory serves the fold's temporaries;
-        # kept through the fold, a mid-run 2^20 segment faulted in ~1.3k
-        # pages instead of ~0.26k.
-        del order
         x = x_buf[:pieces + 1]
         u = np.cumsum(u_buf[:lead + pieces], out=u_buf[:lead + pieces])[lead:]
         last_u = u[-1]
-        u_hi, scratch = c_buf[:pieces], d_buf[:pieces]
-        np.multiply(x[1:], delta, out=u_hi)
-        np.subtract(u, u_hi, out=u_hi)
-        np.multiply(x[:-1], delta, out=scratch)
-        u_lo = np.subtract(u, scratch, out=u)
-        length = np.subtract(x[1:], x[:-1], out=scratch)
-        r = r_buf[:pieces]
-        r[:] = length
-        fold_powers(u_lo, u_hi, length, r, parts)
+        r = np.subtract(x[1:], x[:-1], out=r_buf[:pieces])  # the lengths
+        if delta:
+            xd = np.multiply(x, delta, out=c_buf[:pieces + 1])
+            u_hi = np.subtract(u, xd[1:], out=d_buf[:pieces])
+            u = np.subtract(u, xd[:-1], out=u)  # u_lo
+            q = c_buf[:pieces]
+            q[:] = r
+        else:
+            u_hi = q = None
+        # x and the permutation are dead: they are the fold's scratch, which
+        # holds at least pieces and pieces // 2 values (count >= pieces - 1).
+        fold_powers(u, u_hi, q, r, parts, (x_buf, order.view(np.float64)))
         u_buf[0] = last_u
-    return {k: math.fsum(p) / (k + 1) for k, p in parts.items()}
+    return {k: math.fsum(p) / (k + 1 if delta else 1) for k, p in parts.items()}

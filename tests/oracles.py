@@ -11,8 +11,10 @@ and sweep_segment_reference,
 the earlier full-stream sweep, kept as the bit-for-bit reference of the
 blocked one; power_sums is the blocked fold over whole piece arrays.
 adaptive_simpson is the quadrature cross-check of the closed-form main
-terms, from_csv reads a CSV report back for the round-trip tests, and
-ZeroMangoldt is the all-zero weight stream for the moments' sieve= keyword.
+terms, from_csv reads a CSV report back for the round-trip tests,
+ZeroMangoldt is the all-zero weight stream for the moments' sieve= keyword,
+and DyadicMangoldt is a rounded one whose fixed-window moments
+exact_fixed_moments computes in Fractions.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -236,19 +239,60 @@ class ZeroMangoldt:
         return (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
 
 
+class DyadicMangoldt:
+    """The weights of lambda_table(limit) rounded to multiples of 2^-10.
+
+    Every window weight is then a dyadic rational that float64 adds exactly,
+    so with integer h the sweep's only roundings are in its powers and its
+    sums, and exact_fixed_moments gives the exact value to compare with.
+    It goes through the moment functions' sieve= keyword.
+    """
+
+    def __init__(self, limit: int):
+        self.weights = np.round(lambda_table(limit) * 1024.0) / 1024.0
+
+    def events(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        if hi >= len(self.weights):
+            raise ValueError(f"weights end at {len(self.weights) - 1}, below {hi}")
+        ns = np.flatnonzero(self.weights[lo + 1:hi + 1]) + (lo + 1)
+        return ns.astype(np.int64), self.weights[ns]
+
+
+def exact_fixed_moments(weights, X, h: int, ks, mode: str) -> dict[int, Fraction]:
+    """Fixed-window moments in rational arithmetic, no float64 in them.
+
+    For x in [n, n+1) the window (x, x+h] holds n+1..n+h, so its deviation
+    is d_n = weights[n+1] + ... + weights[n+h] - h.  mode "sum" is the sum
+    of d_n^k over n = 1..X; mode "integral" is the integral over [1, X], the
+    sum over n = 1..floor(X)-1 plus (X - floor(X)) d_floor(X)^k.
+    """
+    top = math.floor(X)
+    prefix = [Fraction(0)]
+    for w in weights[:top + h + 2]:
+        prefix.append(prefix[-1] + Fraction(float(w)))
+    d = [prefix[n + h + 1] - prefix[n + 1] - h for n in range(top + 2)]
+    if mode == "sum":
+        return {k: sum(d[n] ** k for n in range(1, X + 1)) for k in ks}
+    return {k: sum(d[n] ** k for n in range(1, top)) + (Fraction(X) - top) * d[top] ** k
+            for k in ks}
+
+
 def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:
     """Sum over pieces of the integral of u^k, u linear from u_lo to u_hi.
 
+    With u_hi None, u is constant, u_lo, on each piece: the delta = 0 rule.
     The whole-array form of the sweep's power sums: the pieces in fixed
     index blocks of sweep.BLOCK, each block folded by sweep.fold_powers, and
     one math.fsum per order over the folds of all blocks.
     """
     parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
     for i in range(0, len(length), sweep.BLOCK):
-        q = np.array(length[i:i + sweep.BLOCK], dtype=np.float64)  # L*P_k
-        r = q.copy()  # L*u_lo^k
-        sweep.fold_powers(u_lo[i:i + sweep.BLOCK], u_hi[i:i + sweep.BLOCK], q, r, parts)
-    return {k: math.fsum(p) / (k + 1) for k, p in parts.items()}
+        block = slice(i, i + sweep.BLOCK)
+        r = np.array(length[block], dtype=np.float64)  # L*u_lo^k
+        q = None if u_hi is None else r.copy()  # L*P_k
+        sweep.fold_powers(u_lo[block], None if u_hi is None else u_hi[block], q, r, parts,
+                          (np.empty(len(r)), np.empty(len(r) // 2)))
+    return {k: math.fsum(p) / (1 if u_hi is None else k + 1) for k, p in parts.items()}
 
 
 def merge_runs(leaves, enters, leave_ws, enter_ws) -> tuple[np.ndarray, np.ndarray]:
@@ -337,6 +381,8 @@ def sweep_segment_reference(workspace: ReferenceWorkspace, task) -> dict[int, fl
     x[0], x[-1] = a, b
     u[0] = s0 - beta
     np.cumsum(u, out=u)  # S - beta on each piece
+    if not delta:  # u is constant on each piece
+        return power_sums(u, None, np.subtract(x[1:], x[:-1], out=C[:n + 1]), ks)
     u_hi, scratch = C[:n + 1], D[:n + 1]
     np.multiply(x[1:], delta, out=u_hi)
     np.subtract(u, u_hi, out=u_hi)
@@ -344,6 +390,7 @@ def sweep_segment_reference(workspace: ReferenceWorkspace, task) -> dict[int, fl
     u_lo = np.subtract(u, scratch, out=u)
     length = np.subtract(x[1:], x[:-1], out=scratch)
     return power_sums(u_lo, u_hi, length, ks)
+
 
 def adaptive_simpson(
     f: Callable[[float], float],

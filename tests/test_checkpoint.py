@@ -59,16 +59,16 @@ def test_resume_past_torn_final_record(tmp_path):
 
 
 # Checkpoint headers of one small run per mode, as written at
-# __version_salt__ = 3 (the blocked TwoSum power sums).  They change only
-# with the sweep's __version_salt__; until then such checkpoints must keep
-# resuming.
+# __version_salt__ = 4 (a fixed window's pieces summed as constant).  They
+# change only with the sweep's __version_salt__; until then such checkpoints
+# must keep resuming.
 PINNED_DIGESTS = {
     "fixed-sum": (moment_sum, (1000, 10, [2, 4]),
-                  "7b5d996d0f692bee6e01c58eb285f153278ed48c91a2897477dd37639cbba6e7"),
+                  "f5c01ceab293c2b298fd44ca6ae2f9adbe244c4d0b9030a5d64ea9ad089fa5f8"),
     "fixed-integral": (moment_integral_fixed, (1000.0, 7.5, [2, 4]),
-                       "3416d55ae4044fc9d07dc5e8827910be1f95b9a5f98f95e8606e1134a8b1b28c"),
+                       "c13639c434eaa1ba2d93f864c3566045301423dac4c488b0c7838b21d7d3d9b4"),
     "scaled-integral": (moment_integral_scaled, (1000.0, 0.05, [2, 4]),
-                        "633b5b9808354d497b939f9edf0ae18c99775f7dc9a8a5aba4578b2a33cf58e0"),
+                        "ed714e7eb026ce1b13c592a88faf6e0ea42b5b42f909499eb3ce093618ce2404"),
 }
 
 

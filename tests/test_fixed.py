@@ -1,6 +1,8 @@
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from psimoment import (
     MangoldtSieve,
@@ -130,3 +132,29 @@ def test_window_refresh_matches_psi_difference():
 def test_integral_fixed_rejects_non_finite(X, h):
     with pytest.raises(ValueError, match="finite"):
         moment_integral_fixed(X, h, [2])
+
+
+EVEN_KS = (2, 4, 6, 8, 10, 12, 14, 16)
+DYADIC = oracles.DyadicMangoldt(2100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fixed_moments_vs_exact_rational_oracle(data):
+    # With dyadic weights and integer h every window weight, piece length and
+    # coordinate is exact, and each piece's term L*u^k takes k roundings of
+    # at most half an ulp (all terms are >= 0 at even k).  The fold, the
+    # segment's fsum and the run's fsum add about one ulp more.
+    X = data.draw(st.integers(1, 1000), label="X")
+    h = data.draw(st.integers(1, X), label="h")
+    end = X + data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.875]), label="fraction")
+    size = data.draw(st.integers(1, X + 1), label="segment_size")
+    for mode, got, x in (
+            ("sum", moment_sum(X, h, EVEN_KS, segment_size=size, sieve=DYADIC), X),
+            ("integral", moment_integral_fixed(end, h, EVEN_KS, segment_size=size,
+                                               sieve=DYADIC), end)):
+        want = oracles.exact_fixed_moments(DYADIC.weights, x, h, EVEN_KS, mode)
+        for k in EVEN_KS:
+            # At most (k/2 + 1) * 2^-52, relative; [1, 1] integrates to 0.
+            err = abs(Fraction(got[k]) - want[k])
+            assert err <= Fraction(k + 2, 2**53) * want[k], (mode, k, got[k], float(want[k]))

@@ -49,12 +49,16 @@ def test_power_sums_exact(regime):
         else:
             u_hi = -u_lo * rng.uniform(0.2, 1.0)
         got = power_sums(np.array([u_lo]), np.array([u_hi]), np.array([length]), ks)
+        # The sweep takes a fixed window's pieces as constant: u_hi None.
+        constant = (power_sums(np.array([u_lo]), None, np.array([length]), ks)
+                    if regime == "equal" else got)
         for k in ks:
             if regime == "opposite-sign" and k % 2:
                 continue  # the odd integral can vanish; no relative error
             want = exact_piece(u_lo, u_hi, length, k)
-            err = abs(Fraction(got[k]) - want) / abs(want)
-            assert err <= 8 * ULP, (u_lo, u_hi, length, k, float(err) / ULP)
+            for value in (got[k], constant[k]):
+                err = abs(Fraction(value) - want) / abs(want)
+                assert err <= 8 * ULP, (u_lo, u_hi, length, k, float(err) / ULP)
 
 
 def exact_sum(values) -> Fraction:
@@ -86,14 +90,16 @@ def fold_inputs(n, regime, rng):
 @pytest.mark.parametrize("regime", ["wide", "cancel-tiny", "cancel", "cancel-huge"])
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
 def test_power_sums_fold_exact(n, regime):
-    # With u == 1 and k = 1 each piece's term is exactly 2L and the total is
-    # halved, so power_sums returns the blocked TwoSum sum of the lengths.
+    # With u == 1 and k = 1 each piece's term is exactly L, or 2L halved at
+    # the end on the sloped path, so power_sums returns the blocked TwoSum
+    # sum of the lengths.
     x = fold_inputs(n, regime, np.random.default_rng(n))
     ones = np.ones(n)
-    got = power_sums(ones, ones, x, (1,))[1]
     want = exact_sum(x.tolist())
-    assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want))), (
-        got, float(want))
+    for u_hi in (ones, None):
+        got = power_sums(ones, u_hi, x, (1,))[1]
+        assert abs(Fraction(got) - want) <= Fraction(math.ulp(float(want))), (
+            got, float(want))
 
 
 @settings(max_examples=30, deadline=None)
@@ -385,6 +391,25 @@ def test_merge_split_matches_stable_argsort(leaves, enters):
     for j in range(len(order) + 1):
         want = int(np.count_nonzero(order[:j] < len(leaves)))
         assert sweep.merge_split(leaves, enters, j) == want, j
+
+
+POSITIVE_COORDS = st.lists(
+    st.sampled_from([5e-324, 2.2250738585072014e-308, 0.5, 1.0, 1.0 + 2.0**-52, 3.0,
+                     1e8, 1e8 + 0.5, 1.7976931348623157e308])
+    | st.floats(min_value=5e-324, allow_infinity=False), max_size=40).map(
+    lambda v: np.array(v, dtype=np.float64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coords=POSITIVE_COORDS)
+@example(coords=np.array([2.0, 1.0, 2.0, 1.0, 2.0]))
+def test_merge_sorts_int64_view_as_floats(coords):
+    # sweep_segment merges by sorting the coordinates' int64 view: positive
+    # finite doubles order as their bit patterns, so the stable permutation,
+    # ties included, is the one of the floats.
+    want = np.argsort(coords, kind="stable")
+    got = np.argsort(coords.view(np.int64), kind="stable")
+    assert np.array_equal(got, want), coords
 
 
 TRACED_PEAK = """
