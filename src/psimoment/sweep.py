@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from functools import partial
 
 import numpy as np
@@ -43,10 +44,11 @@ FOLD_TO = 64
 # A pool adds only the futures of the few tasks it has in flight.
 MAX_SEGMENTS = 1 << 20
 
-# One segment holds its sieve arrays and event runs at once, so its memory
-# grows with its one sieve call's span, which is longer than the segment by
-# the window's width: a serial 2^25 segment at X = 1e9 peaks ~54 MB above an
-# idle process's ~34 MB RSS (~1.7 B per integer; ~85 MB, ~1.3 B, at 2^26).
+# One segment holds its sieve arrays and the workspace's ~2.6 MB of block
+# buffers, so its memory grows with its one sieve call's span, which is
+# longer than the segment by the window's width: a serial 2^25 segment at
+# X = 1e9 peaks ~30 MB above an idle process's ~34 MB RSS (~0.95 B per
+# integer; ~57 MB, ~0.9 B, at a span just under 2^26).
 # A run where one segment would sieve more integers (a large segment size,
 # delta or h) is refused rather than left to fail in numpy's allocator.
 MAX_SEGMENT_SIZE = 1 << 26
@@ -138,7 +140,7 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
                          checkpoint, resume, digest)
     finally:
         # A serial run sweeps in the caller's process: do not leave it the
-        # buffers (~60 MB for a 2^26 segment at 1e9).
+        # block buffers (~2.6 MB).
         workspace.arrays = ()
 
 
@@ -148,67 +150,75 @@ class Workspace:
     A large numpy array is a fresh mapping whose pages the kernel zeroes on
     first touch: with a fresh array per temporary, a 2^22 segment faults in
     ~9.6k pages (~38 MB).  The sweep writes its arrays into these buffers
-    through out= instead.  Two hold a segment's two event runs and grow to
-    the largest segment the process sweeps; five hold one block of pieces.
-    Once a block's pieces are built, the one that held their coordinates and
-    the merge's permutation are the fold's scratch.  So later segments map
-    no new pages.  Only where values are stored changes, not how they are
-    computed, so the bits are those of fresh arrays.
+    through out= instead: five of BLOCK + 2 values (~2.6 MB in all) hold one
+    block of pieces, whatever the segment's size.  Once a block's pieces are
+    built, the one that held their coordinates and the merge's permutation
+    are the fold's scratch.  So later segments map no new pages.  Only where
+    values are stored changes, not how they are computed, so the bits are
+    those of fresh arrays.
     """
 
     def __init__(self, sieve):
         self.sieve = sieve
         self.arrays: tuple[np.ndarray, ...] = ()
 
-    def buffers(self, m: int) -> tuple[np.ndarray, ...]:
-        """The two run buffers, grown to hold at least m values each, then
-        the five block buffers of BLOCK + 2 values."""
-        if not self.arrays or len(self.arrays[0]) < m:
-            self.arrays = ()  # free the old buffers before mapping new ones
-            # Headroom for a later segment with a few more events; a page is
-            # resident only once it is written.
-            self.arrays = (tuple(np.empty(m + m // 8) for _ in range(2))
-                           + tuple(np.empty(BLOCK + 2) for _ in range(5)))
+    def buffers(self) -> tuple[np.ndarray, ...]:
+        """The five block buffers, made on first use."""
+        if not self.arrays:
+            self.arrays = tuple(np.empty(BLOCK + 2) for _ in range(5))
         return self.arrays
 
 
-def window_events(a: float, b: float, delta: float, beta: float, workspace: Workspace):
+def enter_at(v, delta: float, beta: float):
+    """The x = (v - beta)/(1+delta) where a prime power at v enters the window.
+
+    v is a float, or a float64 array that is changed in place; both take
+    the same two roundings, so a block's coordinates and the merge's
+    comparisons agree.
+    """
+    v -= beta
+    if 1.0 + delta != 1.0:  # dividing by 1.0 is exact, so skipping it keeps the bits
+        v /= 1.0 + delta
+    return v
+
+
+def window_events(a: float, b: float, delta: float, beta: float, sieve):
     """Window weight at x = a and the events for x in (a, b), as two sorted runs.
 
-    Returns (s0, leaves, enters, leave_ws, enter_ws): the nondecreasing
-    coordinates where prime powers leave the window and where they enter
-    it, and their weights.  A leave lowers the window weight by its weight,
-    an enter raises it; in sweep order, leaves come first on equal
-    coordinates.  leaves and enters are views into the workspace, valid
-    until its next window_events call.
+    Returns (s0, leaves, enters, leave_ws, enter_ws): the ascending prime
+    powers that leave the window and those that enter it, and their
+    weights, all views into the sieve's arrays.  A prime power n leaves at
+    x = float(n) and enters at x = enter_at(float(n), delta, beta); a leave
+    lowers the window weight by its weight, an enter raises it, and in sweep
+    order leaves come first on equal coordinates.  No coordinate is stored:
+    each block of sweep_segment maps only its own slices.
     """
-    ns, ws = workspace.sieve.events(*sieve_range(a, b, delta, beta))
-    m = len(ns)
-    leave, enter = (buf[:m] for buf in workspace.buffers(m)[:2])
-    leave[:] = ns  # the int64 -> float64 cast of ns.astype(np.float64)
-    del ns  # freed before enter's pages are first written
-    np.subtract(leave, beta, out=enter)
-    if 1.0 + delta != 1.0:  # dividing by 1.0 is exact, so skipping it keeps the bits
-        np.divide(enter, 1.0 + delta, out=enter)
-    # Both coordinates rise with m, so each condition selects a slice.
-    l0, l1 = np.searchsorted(leave, a, "right"), np.searchsorted(leave, b, "left")
-    e0, e1 = np.searchsorted(enter, a, "right"), np.searchsorted(enter, b, "left")
-    s0 = math.fsum(ws[l0:e0])  # m > a and entered at or before a
-    return s0, leave[l0:l1], enter[e0:e1], ws[l0:l1], ws[e0:e1]
+    ns, ws = sieve.events(*sieve_range(a, b, delta, beta))
+
+    def enter(n) -> float:
+        return enter_at(float(n), delta, beta)
+
+    # Both coordinates rise with n, so each condition selects a slice.
+    l0, l1 = bisect_right(ns, a, key=float), bisect_left(ns, b, key=float)
+    e0, e1 = bisect_right(ns, a, key=enter), bisect_left(ns, b, key=enter)
+    s0 = math.fsum(ws[l0:e0])  # n > a and entered at or before a
+    return s0, ns[l0:l1], ns[e0:e1], ws[l0:l1], ws[e0:e1]
 
 
-def merge_split(leaves, enters, j: int) -> int:
+def merge_split(leaves, enters, delta: float, beta: float, j: int) -> int:
     """How many leaves are among the first j events of the two runs' merge.
 
-    The merge is the stable sort of leaves then enters, so a leave comes
-    before an enter at an equal coordinate.
+    leaves and enters are window_events' runs of prime powers, merged by
+    their coordinates under (delta, beta).  The merge is the stable sort of
+    leaves then enters, so a leave comes before an enter at an equal
+    coordinate.
     """
     lo, hi = max(0, j - len(enters)), min(j, len(leaves))
     while lo < hi:
         r = (lo + hi) // 2
         # With r leaves, the first j events end at enter j-r-1; leave r
         # comes before it, so more than r leaves are among them.
-        if leaves[r] <= enters[j - r - 1]:
+        if float(leaves[r]) <= enter_at(float(enters[j - r - 1]), delta, beta):
             lo = r + 1
         else:
             hi = r
@@ -298,8 +308,8 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     term is its integral L*u^k; otherwise the term is (k+1) times it.
     """
     a, b, delta, beta, ks = task
-    s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace)
-    x_buf, u_buf, c_buf, d_buf, r_buf = workspace.arrays[2:]
+    s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace.sieve)
+    x_buf, u_buf, c_buf, d_buf, r_buf = workspace.buffers()
     n = len(leaves) + len(enters)
     parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
     u_buf[0] = s0 - beta  # u[0]; later blocks start from the u[i-1] before them
@@ -309,11 +319,14 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
         # Events first..last-1 are x[first+1..last]; the first block has x[0]
         # = a in front of them, the last has x[n+1] = b after them.
         first, last = max(i - 1, 0), min(j, n)
-        r0, r1 = merge_split(leaves, enters, first), merge_split(leaves, enters, last)
+        r0 = merge_split(leaves, enters, delta, beta, first)
+        r1 = merge_split(leaves, enters, delta, beta, last)
         t0, t1 = first - r0, last - r1
         count, nl = last - first, r1 - r0
         coords, signed = c_buf[:count], d_buf[:count]
-        np.concatenate((leaves[r0:r1], enters[t0:t1]), out=coords)
+        coords[:nl] = leaves[r0:r1]  # the int64 -> float64 cast
+        coords[nl:] = enters[t0:t1]
+        enter_at(coords[nl:], delta, beta)
         np.negative(leave_ws[r0:r1], out=signed[:nl])
         signed[nl:] = enter_ws[t0:t1]
         # A stable sort merges the two sorted runs in one linear pass and

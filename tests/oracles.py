@@ -295,13 +295,17 @@ def power_sums(u_lo, u_hi, length, ks) -> dict[int, float]:
     return {k: math.fsum(p) / (1 if u_hi is None else k + 1) for k, p in parts.items()}
 
 
-def merge_runs(leaves, enters, leave_ws, enter_ws) -> tuple[np.ndarray, np.ndarray]:
+def merge_runs(leaves, enters, leave_ws, enter_ws, delta: float,
+               beta: float) -> tuple[np.ndarray, np.ndarray]:
     """(coords, signed): window_events' two runs as one stream in sweep order.
 
-    A leave carries -weight and an enter +weight; the stable sort keeps
-    leaves ahead of enters at equal coordinates.
+    A prime power m leaves the window (x, (1+delta)x + beta] at x = m and
+    enters it at x = (m - beta)/(1+delta).  A leave carries -weight and an
+    enter +weight; the stable sort keeps leaves ahead of enters at equal
+    coordinates.
     """
-    coords = np.concatenate((leaves, enters))
+    enter = (enters.astype(np.float64) - beta) / (1.0 + delta)
+    coords = np.concatenate((leaves.astype(np.float64), enter))
     signed = np.concatenate((-leave_ws, enter_ws))
     order = np.argsort(coords, kind="stable")
     return coords[order], signed[order]

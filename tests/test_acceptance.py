@@ -20,7 +20,7 @@ from psimoment import (
     poly_exp_integral,
     scaled_main_term,
 )
-from psimoment.sweep import Workspace, window_events
+from psimoment.sweep import window_events
 
 import oracles
 from oracles import adaptive_simpson, merge_runs
@@ -149,9 +149,8 @@ def test_property_suite():
     X, delta = 10**4, 0.1
     sieve = MangoldtSieve()
     # The events of x in (1, X]: those below the next float after X.
-    _, *runs = window_events(1.0, math.nextafter(X, math.inf), delta, 0.0,
-                             Workspace(sieve))
-    _, signed = merge_runs(*runs)
+    _, *runs = window_events(1.0, math.nextafter(X, math.inf), delta, 0.0, sieve)
+    _, signed = merge_runs(*runs, delta, 0.0)
     net = math.fsum(signed)
     indep = (sieve.psi((1 + delta) * X) - sieve.psi(1 + delta)
              - (sieve.psi(X) - sieve.psi(1)))

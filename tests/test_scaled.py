@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psimoment import MangoldtSieve, moment_integral_scaled, sweep
-from psimoment.sweep import Workspace, window_events
+from psimoment.sweep import window_events
 
 import oracles
 from oracles import adaptive_simpson, merge_runs
@@ -50,8 +50,8 @@ def up(X):
 
 
 def merged_events(X, delta, sieve=None):
-    _, *runs = window_events(1.0, up(X), delta, 0.0, Workspace(sieve or MangoldtSieve()))
-    return merge_runs(*runs)
+    _, *runs = window_events(1.0, up(X), delta, 0.0, sieve or MangoldtSieve())
+    return merge_runs(*runs, delta, 0.0)
 
 
 def test_merged_event_stream_hand_example():
@@ -123,7 +123,7 @@ def test_segmentation_self_consistency_bit_exact():
 
 def test_boundary_window_sum_matches_psi():
     sieve = MangoldtSieve()
-    s = window_events(10**3, 10**3, 0.1, 0.0, Workspace(sieve))[0]
+    s = window_events(10**3, 10**3, 0.1, 0.0, sieve)[0]
     assert s == pytest.approx(sieve.psi(1100) - sieve.psi(1000), abs=1e-9)
 
 

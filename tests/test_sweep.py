@@ -196,9 +196,9 @@ def test_run_frees_its_workspace(monkeypatch):
     made = []
 
     class Recorded(sweep.Workspace):
-        def buffers(self, n):
+        def buffers(self):
             made.append(self)
-            return super().buffers(n)
+            return super().buffers()
 
     class FailingSieve(MangoldtSieve):
         calls = 0
@@ -239,6 +239,49 @@ def test_base_primes_built_once_per_pool_process(monkeypatch, tmp_path):
 KS16 = tuple(range(1, 17))
 SRC = str(Path(psimoment.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
+
+# Each run's moments at k = 1..16, as hex, recorded at __version_salt__ 4.
+# A change to the sweep's arithmetic that moves any bit fails here; such a
+# change bumps sweep.__version_salt__, and these values must then be
+# regenerated.
+PINNED_RUNS = [
+    (moment_integral_scaled, (1000.5, 0.37), 7, [
+        "0x1.24317bd65c42dp+9", "0x1.9a87b38c63978p+15", "0x1.2cae4b4d0cd41p+18",
+        "0x1.679da631d720cp+23", "0x1.18aa304a5743bp+27", "0x1.064760e00cb23p+32",
+        "0x1.183b131a86ecap+36", "0x1.e03172ed6dd67p+40", "0x1.2bf97d673b106p+45",
+        "0x1.f02bd4650c140p+49", "0x1.531f8445659e8p+54", "0x1.1417016ecf2b0p+59",
+        "0x1.8f95b15ce9887p+63", "0x1.4344657e475d3p+68", "0x1.e659310ffabcbp+72",
+        "0x1.891444199fdaep+77"]),
+    (moment_sum, (997, 13), 3, [
+        "-0x1.04a98cb74d60fp+6", "0x1.698faa0c5b7dbp+14", "0x1.46f1044cf1adcp+13",
+        "0x1.9bf67d70402a5p+20", "0x1.863ba161dd374p+21", "0x1.7c4d11bddde02p+27",
+        "0x1.49fb7f651e765p+29", "0x1.c94dde250b940p+34", "0x1.0a20e046eb299p+37",
+        "0x1.331a0355f9fa0p+42", "0x1.ab4e58c481396p+44", "0x1.af64b1f6a2a4ep+49",
+        "0x1.56b7241aa0224p+52", "0x1.357cb9143e7d4p+57", "0x1.121ef84c05f36p+60",
+        "0x1.c18fa48d8d850p+64"]),
+    (moment_integral_fixed, (12345.6, 77.25), 1000, [
+        "-0x1.100f540b9b01bp+11", "0x1.3e65388974d7ep+21", "0x1.680f6d4705b9fp+20",
+        "0x1.854bc17f17815p+30", "0x1.0f3a3ab3861cbp+32", "0x1.6cebf940188fbp+40",
+        "0x1.03afaae2adc91p+43", "0x1.b2cf5f93fcc1fp+50", "0x1.ec2382c3c7e35p+53",
+        "0x1.2f5b1d4e2e2b2p+61", "0x1.e9cf92a397071p+64", "0x1.dad69508f7ae5p+71",
+        "0x1.ffc22e9f52337p+75", "0x1.95e8c80ee5509p+82", "0x1.14fa74755b3fbp+87",
+        "0x1.73c9217a7a43ap+93"]),
+    (moment_integral_scaled, (10**6, 1e-3), 2**15, [
+        "-0x1.7cbd90cc2104cp+18", "0x1.4d6b2745d0c94p+31", "-0x1.d2f66302dce7dp+33",
+        "0x1.c09294ce5447ap+44", "-0x1.2e1d516112475p+49", "0x1.20ede97783ba9p+59",
+        "-0x1.dabbeaace2781p+64", "0x1.1ecae2ac2d41cp+74", "-0x1.a06d4da51cd4cp+80",
+        "0x1.7a6e9d130925dp+89", "-0x1.837c67ac41a46p+96", "0x1.28533b19e85a2p+105",
+        "-0x1.74f1d18caacdep+112", "0x1.00381ec817052p+121", "-0x1.6ec193325c3c9p+128",
+        "0x1.d609c90734509p+136"]),
+]
+
+
+@pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)
+def test_pinned_bits(fn, args, size, want):
+    assert sweep.__version_salt__ == 4
+    got = fn(*args, KS16, segment_size=size)
+    assert [got[k].hex() for k in KS16] == want
+
 
 # Each entry names one task, (mode, X, param, segment_size, index), and the
 # sieve it is swept with: large, no events, one integer, delta = 0 beside
@@ -374,23 +417,56 @@ def test_blocked_sweep_matches_full_stream(data):
             assert _hexes(got) == _hexes(want), (block, task)
 
 
-SORTED_RUN = st.lists(st.integers(0, 12), max_size=12).map(
-    lambda v: np.array(sorted(v), dtype=np.float64))
+# The window (x, (1+delta)x + beta] of every mode, and of windows with both
+# delta and beta, which no mode runs but the sweep handles alike.
+WINDOW_SHAPES = st.tuples(
+    st.sampled_from([0.0, 1e-3, 0.37]),
+    st.just(0.0) | st.integers(1, 100).map(float) | st.sampled_from([0.5, 2.75, 77.25]))
+
+SORTED_RUN = st.lists(st.integers(0, 120), max_size=12).map(
+    lambda v: np.array(sorted(v), dtype=np.int64))
 
 
 @settings(max_examples=200, deadline=None)
-@given(leaves=SORTED_RUN, enters=SORTED_RUN)
-@example(leaves=np.array([]), enters=np.array([]))
-@example(leaves=np.array([3.0, 3.0]), enters=np.array([3.0]))
-@example(leaves=np.array([]), enters=np.array([1.0, 2.0]))
-@example(leaves=np.array([1.0, 2.0]), enters=np.array([]))
-def test_merge_split_matches_stable_argsort(leaves, enters):
-    # Of the first j events of the stable merge of leaves then enters, the
-    # leaves are those whose index in the concatenation is below len(leaves).
-    order = np.argsort(np.concatenate((leaves, enters)), kind="stable")
-    for j in range(len(order) + 1):
-        want = int(np.count_nonzero(order[:j] < len(leaves)))
-        assert sweep.merge_split(leaves, enters, j) == want, j
+@given(leaves=SORTED_RUN, enters=SORTED_RUN, window=WINDOW_SHAPES)
+@example(leaves=np.array([], dtype=np.int64), enters=np.array([], dtype=np.int64),
+         window=(0.0, 0.0))
+@example(leaves=np.array([3, 3]), enters=np.array([3]), window=(0.0, 0.0))
+@example(leaves=np.array([3, 3]), enters=np.array([10]), window=(0.0, 7.0))
+@example(leaves=np.array([], dtype=np.int64), enters=np.array([1, 2]), window=(0.37, 0.0))
+@example(leaves=np.array([1, 2]), enters=np.array([], dtype=np.int64), window=(1e-3, 77.25))
+def test_merge_split_matches_stable_argsort(leaves, enters, window):
+    # Of the first j events of the stable merge of leaves then enters by
+    # their coordinates, the leaves are those merged with a negative sign.
+    delta, beta = window
+    _, signed = oracles.merge_runs(leaves, enters, np.ones(len(leaves)),
+                                   np.ones(len(enters)), delta, beta)
+    for j in range(len(signed) + 1):
+        want = int(np.count_nonzero(signed[:j] < 0))
+        assert sweep.merge_split(leaves, enters, delta, beta, j) == want, j
+
+
+ENDPOINTS = (st.integers(1, 3000).map(float)
+             | st.floats(1.0, 3000.0)
+             | st.tuples(st.integers(1, 3000), st.sampled_from([0.25, 0.5, 0.75])).map(sum))
+
+
+@settings(max_examples=200, deadline=None)
+@given(ends=st.tuples(ENDPOINTS, ENDPOINTS).map(sorted), window=WINDOW_SHAPES)
+@example(ends=[10.0, 11.0], window=(0.0, 1.0))
+@example(ends=[100.5, 2000.25], window=(0.0, 77.25))
+@example(ends=[1000.5, 1000.75], window=(0.37, 0.0))
+def test_window_events_match_reference(ends, window):
+    # The integer runs, mapped to coordinates and merged, are the float64
+    # event stream that the full-stream reference builds from coordinates.
+    (a, b), (delta, beta) = ends, window
+    sieve = MangoldtSieve()
+    s0, *runs = sweep.window_events(a, b, delta, beta, sieve)
+    coords, signed = oracles.merge_runs(*runs, delta, beta)
+    want = oracles.window_events_reference(a, b, delta, beta, oracles.ReferenceWorkspace(sieve))
+    assert s0.hex() == want[0].hex()
+    assert coords.tobytes() == want[1].tobytes()
+    assert signed.tobytes() == want[2].tobytes()
 
 
 POSITIVE_COORDS = st.lists(
@@ -412,6 +488,35 @@ def test_merge_sorts_int64_view_as_floats(coords):
     assert np.array_equal(got, want), coords
 
 
+SEGMENT_PEAK = """
+from psimoment import MangoldtSieve, sweep
+
+def peak_kib():
+    # This process's own peak RSS: ru_maxrss would also count the pages
+    # of the parent that spawned it.
+    with open("/proc/self/status") as fh:
+        return int(next(line for line in fh if line.startswith("VmHWM:")).split()[1])
+
+task = sweep.tasks("fixed-integral", 1e9, 1e5, (2, 4, 6), 1 << 25)[-2]
+workspace = sweep.Workspace(MangoldtSieve())
+idle = peak_kib()
+sweep.sweep_segment(workspace, task)
+print((peak_kib() - idle) * 1024 / (task[1] - task[0]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads the peak RSS from Linux's /proc/self/status")
+def test_large_segment_peak_rss():
+    # One serial 2^25 segment near 1e9 holds its sieve arrays and the block
+    # buffers: ~0.95 B per integer above the idle process.  With float64
+    # copies of both event runs in the workspace it was ~1.7 B.
+    run = subprocess.run([sys.executable, "-c", SEGMENT_PEAK],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert float(run.stdout) < 1.25, float(run.stdout)
+
+
 TRACED_PEAK = """
 import tracemalloc
 from psimoment import MangoldtSieve, sweep
@@ -423,10 +528,11 @@ print(tracemalloc.get_traced_memory()[1])
 
 
 def test_segment_traced_peak():
-    # One 2^22 segment near 2e7 with a fresh workspace: the run buffers, the
-    # block buffers and the sieve's arrays peak at ~11 MB.  With the merged
-    # event stream in four buffers of 2m+2 values it was ~21.5 MB.
+    # One 2^22 segment near 2e7 with a fresh workspace: the block buffers and
+    # the sieve's arrays peak at ~7.6 MB.  With float64 copies of both event
+    # runs it was ~10.9 MB, and with the merged event stream in four buffers
+    # of 2m+2 values ~21.5 MB.
     run = subprocess.run([sys.executable, "-c", TRACED_PEAK],
                          env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert int(run.stdout) < 15 * 2**20, int(run.stdout) / 2**20
+    assert int(run.stdout) < 9 * 2**20, int(run.stdout) / 2**20
