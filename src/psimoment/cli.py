@@ -16,19 +16,16 @@ import time
 from . import __version__
 from . import fixed as fixed_mod
 from . import predictors, scaled as scaled_mod, sweep
-from .errors import CheckpointError, NumericRangeError
+from .errors import CheckpointError, LongRunError, NumericRangeError
 from .report import MomentReport, MomentRow, emit, render_table
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, prime_count
-from .sweep import Workspace, check_ks, sweep_segment
 
 LONG_RUN_SECONDS = 30 * 60
-
-log = logging.getLogger("psimoment")
 
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        return check_ks(sorted(int(part) for part in text.split(",")))
+        return sweep.check_ks(sorted(int(part) for part in text.split(",")))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad moment order list {text!r}: {exc}")
 
@@ -184,37 +181,17 @@ REPRODUCE_TABLES = {
 }
 
 
-def _projected_seconds(mode, x, param, ks, segment_size, threads) -> tuple[float, int]:
-    """Time the last full-size segment, the costliest kind, and extrapolate.
-
-    The first sweep builds the base primes and maps the buffers, which a run
-    pays once per process, so the steady time per segment is the median of
-    the three sweeps after it in the same workspace.
-    """
-    tasks = sweep.tasks(mode, x, param, ks, segment_size)
-    task = max(tasks[-2:], key=lambda t: t[1] - t[0])  # skip a short remainder
-    workspace, times = Workspace(MangoldtSieve()), []
-    for _ in range(4):
-        t0 = time.monotonic()
-        sweep_segment(workspace, task)
-        times.append(time.monotonic() - t0)
-    return sorted(times[1:])[1] * len(tasks) / max(1, threads), len(tasks)
-
-
 def _run_reproduce(args) -> tuple[MomentReport, str]:
     mode, x, param = REPRODUCE_TABLES[args.table]
     ks = (2, 4, 6)
-    projected, n_seg = _projected_seconds(
-        mode, x, param, ks, args.segment_size, args.threads)
-    log.info("projected wall time: %.0f s over %d segments", projected, n_seg)
-    if projected > LONG_RUN_SECONDS and not args.confirm_long:
-        raise ValueError(
-            f"projected run time {projected / 60:.0f} min exceeds "
-            f"{LONG_RUN_SECONDS / 60:.0f} min; re-run with --confirm-long to proceed"
-        )
-    report = _run_moments(mode, x, param, ks, args)
-    log.info("actual wall time: %.0f s (projected %.0f s)",
-             report.wall_seconds, projected)
+    t0 = time.monotonic()
+    try:  # sweep.run, as the public functions take no time limit
+        actual = sweep.run(mode, x, param, ks, None, args.threads, args.segment_size,
+                           args.checkpoint, args.resume,
+                           math.inf if args.confirm_long else LONG_RUN_SECONDS)
+    except LongRunError as exc:
+        raise ValueError(f"{exc}; re-run with --confirm-long to proceed") from None
+    report = _build_report(mode, x, param, ks, actual, time.monotonic() - t0)
     return report, render_table(report)
 
 

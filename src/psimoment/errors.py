@@ -7,3 +7,7 @@ class NumericRangeError(ArithmeticError):
 
 class CheckpointError(RuntimeError):
     """Checkpoint file is unreadable or does not match the run config."""
+
+
+class LongRunError(ValueError):
+    """A run was stopped because its projected wall time passed its limit."""

@@ -16,11 +16,12 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Sequence
 
 from .checkpoint import CheckpointWriter, load
-from .errors import CheckpointError, NumericRangeError
+from .errors import CheckpointError, LongRunError, NumericRangeError
 
 log = logging.getLogger(__name__)
 
@@ -30,6 +31,7 @@ Worker = Callable[[Any], dict[int, float]]
 # every worker busy while the parent appends checkpoint records, and the
 # parent holds a bounded number of futures however many segments a run has.
 TASKS_PER_WORKER = 4
+PROGRESS_SECONDS = 5  # a run logs its progress at most this often
 
 _worker: Worker | None = None  # a pool process's worker, set by _set_worker
 
@@ -51,8 +53,12 @@ def run_tasks(
     checkpoint_path: str | None = None,
     resume: bool = False,
     digest: str = "",
+    limit: float = math.inf,
 ) -> dict[int, float]:
-    """Run worker over tasks; return each k's partials summed by math.fsum."""
+    """Run worker over tasks; return each k's partials summed by math.fsum.
+
+    A run projected past limit seconds stops with LongRunError.
+    """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     done: dict[int, dict[int, float]] = {}
@@ -63,32 +69,45 @@ def run_tasks(
             raise CheckpointError(f"checkpoint has unknown segments {sorted(extra)}")
         log.info("resuming: %d of %d segments already done", len(done), len(tasks))
 
-    writer = None
-    if checkpoint_path:
-        writer = CheckpointWriter(checkpoint_path, digest, fresh=not resume)
+    writer = checkpoint_path and CheckpointWriter(checkpoint_path, digest, fresh=not resume)
+    pending = [i for i in range(len(tasks)) if i not in done]
+    workers = min(threads, len(pending))  # a pool forks them all at its first submit
+    t0, shown, resumed = time.monotonic(), 0.0, len(done)
+
+    def finish(i: int, partials: dict[int, float]) -> None:
+        nonlocal shown
+        done[i] = partials
+        if writer:
+            writer.append(i, partials)
+        elapsed, ran = time.monotonic() - t0, len(done) - resumed
+        projected = elapsed * len(pending) / ran
+        if elapsed - shown >= PROGRESS_SECONDS:
+            shown = elapsed
+            log.info("%d/%d segments done, %.0f s elapsed, ETA %.0f s",
+                     len(done), len(tasks), elapsed, elapsed * (len(pending) - ran) / ran)
+        if projected > limit and 2 * workers <= ran < len(pending):
+            raise LongRunError(f"projected run time {projected / 60:.0f} min "
+                               f"exceeds {limit / 60:.0f} min")
+
     try:
-        pending = [i for i in range(len(tasks)) if i not in done]
-        if threads == 1 or len(pending) <= 1:
+        if workers <= 1:
             for i in pending:
-                done[i] = worker(tasks[i])
-                if writer:
-                    writer.append(i, done[i])
+                finish(i, worker(tasks[i]))
         else:
-            with ProcessPoolExecutor(max_workers=threads, initializer=_set_worker,
-                                     initargs=(worker,)) as pool:
+            pool = ProcessPoolExecutor(workers, initializer=_set_worker, initargs=(worker,))
+            try:
                 queue = iter(pending)
                 running = {pool.submit(_call_worker, tasks[i]): i
-                           for i in itertools.islice(queue, TASKS_PER_WORKER * threads)}
+                           for i in itertools.islice(queue, TASKS_PER_WORKER * workers)}
                 while running:
                     finished, _ = wait(running, return_when=FIRST_COMPLETED)
                     for fut in sorted(finished, key=running.get):
-                        i = running.pop(fut)
-                        done[i] = fut.result()
-                        if writer:
-                            writer.append(i, done[i])
+                        finish(running.pop(fut), fut.result())
                         j = next(queue, None)
                         if j is not None:
                             running[pool.submit(_call_worker, tasks[j])] = j
+            finally:
+                pool.shutdown(cancel_futures=True)  # drop the tasks not started
     finally:
         if writer:
             writer.close()

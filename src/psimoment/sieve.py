@@ -192,10 +192,10 @@ class MangoldtSieve:
         self._base: BasePrimes | None = None
 
     def base_primes(self, limit: int) -> BasePrimes:
-        limit = max(limit, 2)
-        if self._base is None or self._base.limit < limit:
-            # Grow with headroom so repeated nearby requests don't re-sieve.
+        if self._base is None:
             self._base = small_primes(max(limit, 1 << 16))
+        elif self._base.limit < limit:  # double, so rising segments rebuild rarely
+            self._base = small_primes(max(limit, 2 * self._base.limit))
         return self._base
 
     def events(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:

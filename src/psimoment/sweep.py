@@ -122,7 +122,7 @@ def tasks(mode: str, X, param, ks, segment_size: int) -> list[tuple]:
 
 
 def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
-        checkpoint: str | None, resume: bool) -> dict[int, float]:
+        checkpoint: str | None, resume: bool, limit: float = math.inf) -> dict[int, float]:
     """Per-order moments of mode over [1, X], reduced in segment order.
 
     The checkpoint digest is salted with the sweep's version and keeps the
@@ -137,7 +137,7 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
     workspace = Workspace(sieve if sieve is not None else MangoldtSieve())
     try:
         return run_tasks(partial(sweep_segment, workspace), work, ks, threads,
-                         checkpoint, resume, digest)
+                         checkpoint, resume, digest, limit=limit)
     finally:
         # A serial run sweeps in the caller's process: do not leave it the
         # block buffers (~2.6 MB).

@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import time
 from concurrent.futures import Future, wait
@@ -176,14 +177,12 @@ class _CountingPool:
     """Runs each task at submit; counts futures whose result is still unread."""
 
     def __init__(self, max_workers, initializer, initargs):
+        self.max_workers = max_workers
         self.in_flight = self.peak = 0
         initializer(*initargs)  # in this process, as a pool process would
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
 
     def submit(self, fn, *args):
         fut = _CountedFuture(self)
@@ -212,7 +211,7 @@ def test_runner_pool_linear_in_segments(monkeypatch):
     assert handed and max(handed) <= 2 * runner.TASKS_PER_WORKER, max(handed)
 
 
-def test_runner_bounded_submissions(monkeypatch, tmp_path):
+def _recording_pools(monkeypatch):
     pools = []
 
     def counting_pool(max_workers, **init):
@@ -221,6 +220,11 @@ def test_runner_bounded_submissions(monkeypatch, tmp_path):
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
     monkeypatch.setattr(runner, "_worker", None)  # the fake pool sets it here
+    return pools
+
+
+def test_runner_bounded_submissions(monkeypatch, tmp_path):
+    pools = _recording_pools(monkeypatch)
     n, path = 1000, tmp_path / "ck.jsonl"
     got = run_tasks(_index_worker, range(n), [2], threads=3, checkpoint_path=str(path))
     # A few tasks per worker in flight, not one future per segment.
@@ -228,3 +232,26 @@ def test_runner_bounded_submissions(monkeypatch, tmp_path):
     assert pools[0].in_flight == 0
     assert got == run_tasks(_index_worker, range(n), [2])
     assert sorted(load(str(path), "")) == list(range(n))
+
+
+def test_runner_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # A forked pool starts all its processes at the first submit: 3 segments
+    # on --threads 8 forked 8 processes.
+    pools = _recording_pools(monkeypatch)
+    got = moment_integral_scaled(2e4, 0.01, [2], segment_size=8192, threads=8)
+    assert [pool.max_workers for pool in pools] == [3]
+    assert got[2].hex() == moment_integral_scaled(2e4, 0.01, [2], segment_size=8192)[2].hex()
+
+
+def test_runner_logs_progress(monkeypatch, caplog):
+    # One line per finished segment with the interval at 0; the clock does not
+    # reach the reduction.
+    monkeypatch.setattr(runner, "PROGRESS_SECONDS", 0)
+    with caplog.at_level(logging.INFO, logger="psimoment"):
+        got = moment_integral_scaled(2e4, 0.01, [2, 4], segment_size=4096)
+    lines = [r.getMessage() for r in caplog.records if "segments done" in r.getMessage()]
+    assert [line.split()[0] for line in lines] == [f"{i}/5" for i in range(1, 6)]
+    assert all("s elapsed, ETA" in line for line in lines)
+    assert lines[-1].endswith("ETA 0 s")
+    monkeypatch.setattr(runner, "PROGRESS_SECONDS", 5)
+    assert moment_integral_scaled(2e4, 0.01, [2, 4], segment_size=4096) == got

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import logging
+import multiprocessing
 import os
 import shlex
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import psimoment
-from psimoment import MangoldtSieve, cli, prime_count
+from psimoment import MangoldtSieve, cli, prime_count, sweep
 from psimoment import sieve as sieve_module
 from psimoment.report import CSV_COLUMNS
 
@@ -173,24 +174,82 @@ def test_reproduce_refuses_long_run(monkeypatch, capsys):
     assert "exceeds 1 min" in err and "confirm-long" in err
 
 
-def test_reproduce_projects_from_last_full_segment(monkeypatch, caplog, capsys):
-    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8",
-                        ("scaled-integral", 10**4, 0.01))
-    timed = []
-    monkeypatch.setattr(cli, "sweep_segment",
-                        lambda workspace, task: timed.append((workspace, task)))
+# A small stand-in for a published table: 10 segments at --segment-size 1024,
+# 98 at 1024 with SMALL_TABLE_X.
+SMALL_TABLE = ("scaled-integral", 10**4, 0.01)
+SMALL_TABLE_X = ("scaled-integral", 10**5, 0.01)
+
+
+def _count_sweeps(monkeypatch, path=None):
+    """Record each segment sweep_segment sweeps, in a list or, across pool
+    processes, as a line of path."""
+    swept, real = [], sweep.sweep_segment
+
+    def counted(workspace, task):
+        swept.append(task[:2])
+        if path is not None:
+            with path.open("a") as fh:
+                fh.write(f"{task[0]}\n")
+        return real(workspace, task)
+
+    monkeypatch.setattr(sweep, "sweep_segment", counted)
+    return swept
+
+
+def test_reproduce_sweeps_each_segment_once(monkeypatch, capsys):
+    # The long-run guard times the run's own segments: nothing is swept
+    # outside the run.
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8", SMALL_TABLE)
+    swept = _count_sweeps(monkeypatch)
+    code, out, err = run_cli(["reproduce", "scaled-1e8", "--segment-size", "1024"], capsys)
+    assert code == 0, err
+    tasks = sweep.tasks(*SMALL_TABLE, (2, 4, 6), 1024)
+    assert len(tasks) == 10
+    assert swept == [task[:2] for task in tasks]
+
+
+def _actual_hex(csv_text):
+    return [row.actual.hex() for row in from_csv(csv_text).rows]
+
+
+def test_reproduce_refusal_keeps_segments_for_resume(monkeypatch, tmp_path, caplog,
+                                                     capsys):
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8", SMALL_TABLE_X)
+    monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 1e-6)  # every run projects past it
+    ck = tmp_path / "ck.jsonl"
+    args = ["reproduce", "scaled-1e8", "--segment-size", "1024", "--format", "csv",
+            "--checkpoint", str(ck)]
+    code, out, err = run_cli(args, capsys)
+    assert code == 2
+    assert "exceeds 0 min; re-run with --confirm-long to proceed" in err
+    # The guard waits for 2 x workers finished segments; their records stay.
+    records = len(ck.read_text().splitlines()) - 1  # less the header
+    assert 2 <= records < 98
     with caplog.at_level(logging.INFO, logger="psimoment"):
-        code = cli.main(["reproduce", "scaled-1e8", "--segment-size", "1024"])
-    assert code == 0
-    # One untimed warm-up sweep, then three timed ones, all in one workspace.
-    assert len(timed) == 4
-    assert len({id(workspace) for workspace, _ in timed}) == 1
-    assert len({task for _, task in timed}) == 1
-    (a, b, *_) = timed[0][1]
-    # The last of the 10 segments is a short remainder; the one before is full.
-    assert (a, b) == (1 + 8 * 1024, 1 + 9 * 1024)
-    assert "projected wall time" in caplog.text
-    assert "actual wall time" in caplog.text
+        code, resumed, err = run_cli(args + ["--resume", "--confirm-long"], capsys)
+    assert code == 0, err
+    assert f"resuming: {records} of 98 segments already done" in caplog.text
+    code, whole, err = run_cli(["reproduce", "scaled-1e8", "--segment-size", "1024",
+                                "--format", "csv", "--confirm-long"], capsys)
+    assert code == 0, err
+    assert _actual_hex(resumed) == _actual_hex(whole)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="pool processes see the patched sweep only when forked")
+def test_reproduce_pooled_refusal_stops_the_pool(monkeypatch, tmp_path, capsys):
+    # 2 workers, 98 segments: the run stops at the 4th finished segment and
+    # drops the queued tasks, so only those already running or handed to a
+    # process are swept.  The pool processes count them in a file.
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8", SMALL_TABLE_X)
+    monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 1e-6)
+    path = tmp_path / "swept"
+    _count_sweeps(monkeypatch, path)
+    code, out, err = run_cli(["reproduce", "scaled-1e8", "--segment-size", "1024",
+                              "--threads", "2"], capsys)
+    assert code == 2
+    assert "re-run with --confirm-long to proceed" in err
+    assert 4 <= len(path.read_text().split()) < 98
 
 
 def test_reproduce_format_json_stdout(monkeypatch, capsys):

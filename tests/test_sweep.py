@@ -236,6 +236,23 @@ def test_base_primes_built_once_per_pool_process(monkeypatch, tmp_path):
     assert 1 <= len(builds.read_text().split()) <= 2
 
 
+def test_base_primes_grow_by_doubling(monkeypatch):
+    # Past 2^32 each full 2^22 segment of the 1e10 ms-table needs ~21 more in
+    # isqrt(hi): growing the base primes to exactly that rebuilt them (and
+    # their powers table) for every one of these 20 segments.
+    builds = []
+    small_primes = sieve_module.small_primes
+    monkeypatch.setattr(sieve_module, "small_primes",
+                        lambda limit: builds.append(limit) or small_primes(limit))
+    work = sweep.tasks("fixed-sum", 10**10, 10**5, (2, 4, 6), 1 << 22)[-20:]
+    workspace = sweep.Workspace(MangoldtSieve())
+    got = [sweep.sweep_segment(workspace, task) for task in work]
+    assert len(builds) <= 2, builds
+    # The moments of exact growth, one build per segment.
+    assert [math.fsum(g[k] for g in got).hex() for k in (2, 4, 6)] == [
+        "0x1.2d28cfb056efbp+46", "0x1.c17fb9e00a2a6p+67", "0x1.127aeed8d0e63p+90"]
+
+
 KS16 = tuple(range(1, 17))
 SRC = str(Path(psimoment.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
