@@ -77,7 +77,6 @@ class CheckpointWriter:
     """Appends segment records; writes the header when creating a new file."""
 
     def __init__(self, path: str, digest: str, fresh: bool):
-        self.path = path
         mode = "w" if fresh or not os.path.exists(path) else "a"
         self._fh = open(path, mode)
         if mode == "w":

@@ -25,7 +25,7 @@ LONG_RUN_SECONDS = 30 * 60
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        return sweep.check_ks(sorted(int(part) for part in text.split(",")))
+        return sweep.check_ks(sorted({int(part) for part in text.split(",")}))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad moment order list {text!r}: {exc}")
 
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 # formula -> (its parameter flag, its predictors function, the report column
 # it fills).  A moment report fills, for even k, the columns of the formulas
 # that take its mode's parameter and make a claim there (no ValueError).
-# Like MOMENT_FUNCTIONS, the function is looked up when called.
+# The function is looked up when called, so a replaced one is the one called.
 FORMULAS = {
     "thm-i": ("h", "fixed_main_term", "predicted_thm"),
     "ms": ("h", "fixed_main_term_from_one", "predicted_ms"),
@@ -120,34 +120,27 @@ def _build_report(mode, x, param, ks, actual, wall) -> MomentReport:
                         wall_seconds=wall)
 
 
-# mode -> (module, function).  The function is looked up when the run starts,
-# so a replaced module attribute (a test double, a tracer) is the one called.
-MOMENT_FUNCTIONS = {
-    "fixed-sum": (fixed_mod, "moment_sum"),
-    "fixed-integral": (fixed_mod, "moment_integral_fixed"),
-    "scaled-integral": (scaled_mod, "moment_integral_scaled"),
-}
+def _run_moments(args) -> MomentReport:
+    """The report of a fixed or scaled command.
 
-
-def _moment_inputs(args) -> tuple[str, float, float]:
-    """(mode, x, h or delta) of a fixed or scaled command."""
-    if args.command == "scaled":
-        return "scaled-integral", args.x, args.delta
-    if args.mode == "integral":
-        return "fixed-integral", args.x, args.h
-    if not (args.x.is_integer() and args.h.is_integer()):
-        raise ValueError(
-            f"sum mode needs integral --x and --h, got {args.x}, {args.h}")
-    return "fixed-sum", int(args.x), int(args.h)
-
-
-def _run_moments(mode, x, param, ks, args) -> MomentReport:
-    module, name = MOMENT_FUNCTIONS[mode]
+    The moment function is looked up in its module when the run starts, so
+    a replaced module attribute (a test double, a tracer) is the one called.
+    """
+    run = dict(threads=args.threads, segment_size=args.segment_size,
+               checkpoint=args.checkpoint, resume=args.resume)
     t0 = time.monotonic()
-    actual = getattr(module, name)(
-        x, param, ks, threads=args.threads, segment_size=args.segment_size,
-        checkpoint=args.checkpoint, resume=args.resume)
-    return _build_report(mode, x, param, ks, actual, time.monotonic() - t0)
+    if args.command == "scaled":
+        mode, x, param = "scaled-integral", args.x, args.delta
+        actual = scaled_mod.moment_integral_scaled(x, param, args.k, **run)
+    elif args.mode == "integral":
+        mode, x, param = "fixed-integral", args.x, args.h
+        actual = fixed_mod.moment_integral_fixed(x, param, args.k, **run)
+    elif args.x.is_integer() and args.h.is_integer():
+        mode, x, param = "fixed-sum", int(args.x), int(args.h)
+        actual = fixed_mod.moment_sum(x, param, args.k, **run)
+    else:
+        raise ValueError(f"sum mode needs integral --x and --h, got {args.x}, {args.h}")
+    return _build_report(mode, x, param, args.k, actual, time.monotonic() - t0)
 
 
 def _run_predict(args) -> tuple[MomentReport | None, str]:
@@ -214,7 +207,7 @@ def main(argv=None) -> int:
                 print(prime_count(args.limit))
             return 0
         if args.command in ("fixed", "scaled"):
-            report, text = _run_moments(*_moment_inputs(args), args.k, args), ""
+            report, text = _run_moments(args), ""
         elif args.command == "predict":
             report, text = _run_predict(args)
         else:

@@ -57,7 +57,8 @@ def run_tasks(
 ) -> dict[int, float]:
     """Run worker over tasks; return each k's partials summed by math.fsum.
 
-    A run projected past limit seconds stops with LongRunError.
+    A run projected past limit seconds hands out no further task, records
+    the ones it has handed out and stops with LongRunError.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
@@ -72,10 +73,11 @@ def run_tasks(
     writer = checkpoint_path and CheckpointWriter(checkpoint_path, digest, fresh=not resume)
     pending = [i for i in range(len(tasks)) if i not in done]
     workers = min(threads, len(pending))  # a pool forks them all at its first submit
-    t0, shown, resumed = time.monotonic(), 0.0, len(done)
+    t0, shown, resumed, refusal = time.monotonic(), 0.0, len(done), ""
 
-    def finish(i: int, partials: dict[int, float]) -> None:
-        nonlocal shown
+    def finish(i: int, partials: dict[int, float]) -> bool:
+        """Record task i; return whether the run may go on."""
+        nonlocal shown, refusal
         done[i] = partials
         if writer:
             writer.append(i, partials)
@@ -85,14 +87,16 @@ def run_tasks(
             shown = elapsed
             log.info("%d/%d segments done, %.0f s elapsed, ETA %.0f s",
                      len(done), len(tasks), elapsed, elapsed * (len(pending) - ran) / ran)
-        if projected > limit and 2 * workers <= ran < len(pending):
-            raise LongRunError(f"projected run time {projected / 60:.0f} min "
-                               f"exceeds {limit / 60:.0f} min")
+        if projected > limit and ran >= 2 * workers:
+            refusal = (f"projected run time {projected / 60:.0f} min "
+                       f"exceeds {limit / 60:.0f} min")
+        return not refusal
 
     try:
         if workers <= 1:
             for i in pending:
-                finish(i, worker(tasks[i]))
+                if not finish(i, worker(tasks[i])):
+                    break
         else:
             pool = ProcessPoolExecutor(workers, initializer=_set_worker, initargs=(worker,))
             try:
@@ -102,15 +106,16 @@ def run_tasks(
                 while running:
                     finished, _ = wait(running, return_when=FIRST_COMPLETED)
                     for fut in sorted(finished, key=running.get):
-                        finish(running.pop(fut), fut.result())
-                        j = next(queue, None)
+                        j = next(queue, None) if finish(running.pop(fut), fut.result()) else None
                         if j is not None:
                             running[pool.submit(_call_worker, tasks[j])] = j
             finally:
-                pool.shutdown(cancel_futures=True)  # drop the tasks not started
+                pool.shutdown(cancel_futures=True)  # on an error, drop the tasks not started
     finally:
         if writer:
             writer.close()
+    if len(done) < len(tasks):
+        raise LongRunError(refusal)
 
     out = {}
     for k in ks:

@@ -300,29 +300,28 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     x[i+1], where x is a, the merged event coordinates, then b, and its
     window weight u[i] + beta is s0 plus the signed weights of the first i
     events.  The pieces are built and folded in fixed index blocks of
-    BLOCK, so the events are never merged as a whole: block [i, j) merges
-    only the events behind x[i..j] and continues the running sum from
-    u[i-1], with the additions of one cumsum over all pieces.  Every order's
-    block is folded by _fold and one math.fsum per order adds the folds of
-    all blocks.  With delta = 0 u is constant on each piece and a piece's
-    term is its integral L*u^k; otherwise the term is (k+1) times it.
+    BLOCK, so the events are never merged as a whole: block [i, j) starts
+    from the x[i], u[i] and count of merged leaves that the block before it
+    left, and merges only the events behind x[i+1..j], with the additions
+    of one cumsum over all pieces.  Every order's block is folded by _fold
+    and one math.fsum per order adds the folds of all blocks.  With
+    delta = 0 u is constant on each piece and a piece's term is its
+    integral L*u^k; otherwise the term is (k+1) times it.
     """
     a, b, delta, beta, ks = task
     s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace.sieve)
     x_buf, u_buf, c_buf, d_buf, r_buf = workspace.buffers()
     n = len(leaves) + len(enters)
     parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
-    u_buf[0] = s0 - beta  # u[0]; later blocks start from the u[i-1] before them
+    x_buf[0], u_buf[0], r0 = a, s0 - beta, 0  # x[0], u[0], no leaves merged
     for i in range(0, n + 1, BLOCK):
         j = min(i + BLOCK, n + 1)
         pieces = j - i
-        # Events first..last-1 are x[first+1..last]; the first block has x[0]
-        # = a in front of them, the last has x[n+1] = b after them.
-        first, last = max(i - 1, 0), min(j, n)
-        r0 = merge_split(leaves, enters, delta, beta, first)
+        # Events i..last-1 are x[i+1..last]; the last block ends at x[n+1] = b.
+        last = min(j, n)
         r1 = merge_split(leaves, enters, delta, beta, last)
-        t0, t1 = first - r0, last - r1
-        count, nl = last - first, r1 - r0
+        t0, t1 = i - r0, last - r1
+        count, nl = last - i, r1 - r0
         coords, signed = c_buf[:count], d_buf[:count]
         coords[:nl] = leaves[r0:r1]  # the int64 -> float64 cast
         coords[nl:] = enters[t0:t1]
@@ -336,16 +335,13 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
         # the same permutation, faster.  take's default mode would gather
         # through a temporary.
         order = np.argsort(coords.view(np.int64), kind="stable")
-        lead = 1 if i else 0  # u_buf[0] holds u[i-1] after the first block
-        if not i:
-            x_buf[0] = a
-        np.take(coords, order, out=x_buf[1 - lead:1 - lead + count], mode="clip")
+        np.take(coords, order, out=x_buf[1:1 + count], mode="clip")
         if j == n + 1:
             x_buf[pieces] = b
         np.take(signed, order, out=u_buf[1:1 + count], mode="clip")
-        x = x_buf[:pieces + 1]
-        u = np.cumsum(u_buf[:lead + pieces], out=u_buf[:lead + pieces])[lead:]
-        last_u = u[-1]
+        # Up to u[j], the next block's start, unless this block is the last.
+        np.cumsum(u_buf[:count + 1], out=u_buf[:count + 1])
+        x, u = x_buf[:pieces + 1], u_buf[:pieces]
         r = np.subtract(x[1:], x[:-1], out=r_buf[:pieces])  # the lengths
         if delta:
             xd = np.multiply(x, delta, out=c_buf[:pieces + 1])
@@ -355,8 +351,9 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
             q[:] = r
         else:
             u_hi = q = None
-        # x and the permutation are dead: they are the fold's scratch, which
-        # holds at least pieces and pieces // 2 values (count >= pieces - 1).
-        fold_powers(u, u_hi, q, r, parts, (x_buf, order.view(np.float64)))
-        u_buf[0] = last_u
+        # x[:-1] and the permutation are dead: they are the fold's scratch,
+        # which holds at least pieces and pieces // 2 values (count >=
+        # pieces - 1).  x[j] and u[j] lie past x[:-1] and u: the next block's start.
+        fold_powers(u, u_hi, q, r, parts, (x[:-1], order.view(np.float64)))
+        x_buf[0], u_buf[0], r0 = x[-1], u_buf[pieces], r1
     return {k: math.fsum(p) / (k + 1 if delta else 1) for k, p in parts.items()}

@@ -258,19 +258,23 @@ class DyadicMangoldt:
         return ns.astype(np.int64), self.weights[ns]
 
 
-def exact_fixed_moments(weights, X, h: int, ks, mode: str) -> dict[int, Fraction]:
+def exact_fixed_moments(weights, X, h: int, ks, mode: str,
+                        absolute: bool = False) -> dict[int, Fraction]:
     """Fixed-window moments in rational arithmetic, no float64 in them.
 
     For x in [n, n+1) the window (x, x+h] holds n+1..n+h, so its deviation
     is d_n = weights[n+1] + ... + weights[n+h] - h.  mode "sum" is the sum
     of d_n^k over n = 1..X; mode "integral" is the integral over [1, X], the
-    sum over n = 1..floor(X)-1 plus (X - floor(X)) d_floor(X)^k.
+    sum over n = 1..floor(X)-1 plus (X - floor(X)) d_floor(X)^k.  With
+    absolute, |d_n| replaces d_n: the exact sum of the terms' magnitudes.
     """
     top = math.floor(X)
     prefix = [Fraction(0)]
     for w in weights[:top + h + 2]:
         prefix.append(prefix[-1] + Fraction(float(w)))
     d = [prefix[n + h + 1] - prefix[n + 1] - h for n in range(top + 2)]
+    if absolute:
+        d = [abs(v) for v in d]
     if mode == "sum":
         return {k: sum(d[n] ** k for n in range(1, X + 1)) for k in ks}
     return {k: sum(d[n] ** k for n in range(1, top)) + (Fraction(X) - top) * d[top] ** k

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum
 from psimoment.checkpoint import CheckpointError, CheckpointWriter, config_digest, load
-from psimoment.errors import NumericRangeError
+from psimoment.errors import LongRunError, NumericRangeError
 from psimoment import runner
 from psimoment.runner import run_tasks
 
@@ -232,6 +232,28 @@ def test_runner_bounded_submissions(monkeypatch, tmp_path):
     assert pools[0].in_flight == 0
     assert got == run_tasks(_index_worker, range(n), [2])
     assert sorted(load(str(path), "")) == list(range(n))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runner_refusal_records_every_task_handed_out(threads, monkeypatch, tmp_path):
+    # Every projection passes a limit of 0 s, so the run is refused at its
+    # 2 x workers-th finished task.  It hands out no further task, finishes
+    # those it has handed out and records each of them.
+    _recording_pools(monkeypatch)
+    ran, path = [], tmp_path / "ck.jsonl"
+
+    def worker(task):
+        ran.append(task)
+        return _index_worker(task)
+
+    with pytest.raises(LongRunError, match="exceeds 0 min"):
+        run_tasks(worker, range(100), [2], threads=threads, checkpoint_path=str(path),
+                  limit=0.0)
+    # Pooled: the first 2 x TASKS_PER_WORKER, and one more per task finished
+    # before the refusal.
+    handed = 2 if threads == 1 else 2 * runner.TASKS_PER_WORKER + 3
+    assert sorted(ran) == list(range(handed))
+    assert sorted(load(str(path), "")) == sorted(ran)
 
 
 def test_runner_pool_has_no_more_workers_than_tasks(monkeypatch):

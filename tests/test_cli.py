@@ -131,6 +131,25 @@ def test_fixed_sum_csv(tmp_path, capsys):
     assert row.ratio == pytest.approx(row.actual / row.predicted_thm, rel=1e-14)
 
 
+def test_fixed_repeated_orders_give_one_row_each(tmp_path, capsys):
+    # --k 2,2,4 is --k 2,4: the same rows and the same checkpoint digest.
+    ck = tmp_path / "ck.jsonl"
+    args = ["fixed", "--x", "1000", "--h", "10", "--format", "csv", "--checkpoint", str(ck)]
+    code, repeated, err = run_cli(args + ["--k", "2,2,4"], capsys)
+    assert code == 0, err
+    assert [row.k for row in from_csv(repeated).rows] == [2, 4]
+    code, resumed, err = run_cli(args + ["--k", "2,4", "--resume"], capsys)
+    assert code == 0, err
+    assert strip_wall(resumed) == strip_wall(repeated)
+
+
+def test_predict_repeated_orders_print_one_line_each(capsys):
+    code, out, err = run_cli(["predict", "--formula", "thm-ii", "--x", "1e8",
+                              "--delta", "1e-4", "--k", "2,2"], capsys)
+    assert code == 0
+    assert [line.split()[0] for line in out.splitlines()] == ["k=2"]
+
+
 def test_scaled_json_stdout(capsys):
     code, out, err = run_cli(
         ["scaled", "--x", "1000", "--delta", "0.05", "--k", "2",
@@ -235,12 +254,15 @@ def test_reproduce_refusal_keeps_segments_for_resume(monkeypatch, tmp_path, capl
     assert _actual_hex(resumed) == _actual_hex(whole)
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                    reason="pool processes see the patched sweep only when forked")
+FORKED = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="pool processes see the patched sweep only when forked")
+
+
+@FORKED
 def test_reproduce_pooled_refusal_stops_the_pool(monkeypatch, tmp_path, capsys):
-    # 2 workers, 98 segments: the run stops at the 4th finished segment and
-    # drops the queued tasks, so only those already running or handed to a
-    # process are swept.  The pool processes count them in a file.
+    # 2 workers, 98 segments: the run stops handing out tasks at the 4th
+    # finished segment and sweeps only those it has already handed out.  The
+    # pool processes count them in a file.
     monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8", SMALL_TABLE_X)
     monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 1e-6)
     path = tmp_path / "swept"
@@ -250,6 +272,26 @@ def test_reproduce_pooled_refusal_stops_the_pool(monkeypatch, tmp_path, capsys):
     assert code == 2
     assert "re-run with --confirm-long to proceed" in err
     assert 4 <= len(path.read_text().split()) < 98
+
+
+@pytest.mark.parametrize("threads", [1, pytest.param(2, marks=FORKED)])
+def test_reproduce_refusal_records_every_swept_segment(threads, monkeypatch, tmp_path,
+                                                       capsys):
+    # A refused run finishes the tasks it has handed out, and with
+    # --checkpoint each segment it swept has exactly one record.
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8", SMALL_TABLE_X)
+    monkeypatch.setattr(cli, "LONG_RUN_SECONDS", 1e-6)
+    path, ck = tmp_path / "swept", tmp_path / "ck.jsonl"
+    _count_sweeps(monkeypatch, path)
+    code, out, err = run_cli(["reproduce", "scaled-1e8", "--segment-size", "1024",
+                              "--threads", str(threads), "--checkpoint", str(ck)], capsys)
+    assert code == 2
+    assert "re-run with --confirm-long to proceed" in err
+    starts = [task[0] for task in sweep.tasks(*SMALL_TABLE_X, (2, 4, 6), 1024)]
+    records = [json.loads(line)["segment"] for line in ck.read_text().splitlines()[1:]]
+    swept = [float(a) for a in path.read_text().split()]
+    assert 2 <= len(swept) < 98
+    assert sorted(starts[i] for i in records) == sorted(swept)
 
 
 def test_reproduce_format_json_stdout(monkeypatch, capsys):

@@ -134,7 +134,7 @@ def test_integral_fixed_rejects_non_finite(X, h):
         moment_integral_fixed(X, h, [2])
 
 
-EVEN_KS = (2, 4, 6, 8, 10, 12, 14, 16)
+KS16 = tuple(range(1, 17))
 DYADIC = oracles.DyadicMangoldt(2100)
 
 
@@ -143,18 +143,21 @@ DYADIC = oracles.DyadicMangoldt(2100)
 def test_fixed_moments_vs_exact_rational_oracle(data):
     # With dyadic weights and integer h every window weight, piece length and
     # coordinate is exact, and each piece's term L*u^k takes k roundings of
-    # at most half an ulp (all terms are >= 0 at even k).  The fold, the
-    # segment's fsum and the run's fsum add about one ulp more.
+    # at most half an ulp.  The fold, the segment's fsum and the run's fsum
+    # add about one ulp more of the sum of |terms|.  At odd k the terms take
+    # the sign of u and can cancel, so the bound is relative to that sum,
+    # which at even k is the moment itself.
     X = data.draw(st.integers(1, 1000), label="X")
     h = data.draw(st.integers(1, X), label="h")
     end = X + data.draw(st.sampled_from([0.0, 0.25, 0.5, 0.875]), label="fraction")
     size = data.draw(st.integers(1, X + 1), label="segment_size")
     for mode, got, x in (
-            ("sum", moment_sum(X, h, EVEN_KS, segment_size=size, sieve=DYADIC), X),
-            ("integral", moment_integral_fixed(end, h, EVEN_KS, segment_size=size,
+            ("sum", moment_sum(X, h, KS16, segment_size=size, sieve=DYADIC), X),
+            ("integral", moment_integral_fixed(end, h, KS16, segment_size=size,
                                                sieve=DYADIC), end)):
-        want = oracles.exact_fixed_moments(DYADIC.weights, x, h, EVEN_KS, mode)
-        for k in EVEN_KS:
-            # At most (k/2 + 1) * 2^-52, relative; [1, 1] integrates to 0.
+        want = oracles.exact_fixed_moments(DYADIC.weights, x, h, KS16, mode)
+        scale = oracles.exact_fixed_moments(DYADIC.weights, x, h, KS16, mode, absolute=True)
+        for k in KS16:
+            # At most (k + 2) * 2^-53 of the sum of |terms|; [1, 1] integrates to 0.
             err = abs(Fraction(got[k]) - want[k])
-            assert err <= Fraction(k + 2, 2**53) * want[k], (mode, k, got[k], float(want[k]))
+            assert err <= Fraction(k + 2, 2**53) * scale[k], (mode, k, got[k], float(want[k]))
