@@ -14,7 +14,6 @@ is recomputed and the next append starts on a fresh line.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -29,6 +28,8 @@ log = logging.getLogger(__name__)
 
 def config_digest(payload: dict[str, Any]) -> str:
     """Stable digest of a run configuration."""
+    import hashlib  # loads OpenSSL (~3.5 MB RSS): only a checkpointed run pays for it
+
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -2,7 +2,7 @@
 
 Subcommands: sieve, fixed, scaled, predict, reproduce.  Progress goes to
 stderr, data to stdout or --out.  Exit codes: 0 success, 2 usage error,
-3 numeric-range error, 4 I/O error.
+3 numeric-range error, 4 I/O error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -176,15 +176,14 @@ REPRODUCE_TABLES = {
 
 def _run_reproduce(args) -> tuple[MomentReport, str]:
     mode, x, param = REPRODUCE_TABLES[args.table]
-    ks = (2, 4, 6)
     t0 = time.monotonic()
     try:  # sweep.run, as the public functions take no time limit
-        actual = sweep.run(mode, x, param, ks, None, args.threads, args.segment_size,
+        actual = sweep.run(mode, x, param, args.k, None, args.threads, args.segment_size,
                            args.checkpoint, args.resume,
                            math.inf if args.confirm_long else LONG_RUN_SECONDS)
     except LongRunError as exc:
         raise ValueError(f"{exc}; re-run with --confirm-long to proceed") from None
-    report = _build_report(mode, x, param, ks, actual, time.monotonic() - t0)
+    report = _build_report(mode, x, param, args.k, actual, time.monotonic() - t0)
     return report, render_table(report)
 
 
@@ -227,6 +226,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 4
+    except KeyboardInterrupt:
+        checkpoint = getattr(args, "checkpoint", None)
+        print("interrupted" + (f"; re-run with --resume to continue from {checkpoint}"
+                               if checkpoint else ""), file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -47,7 +47,7 @@ MAX_SEGMENTS = 1 << 20
 # One segment holds its sieve arrays and the workspace's ~2.6 MB of block
 # buffers, so its memory grows with its one sieve call's span, which is
 # longer than the segment by the window's width: a serial 2^25 segment at
-# X = 1e9 peaks ~30 MB above an idle process's ~34 MB RSS (~0.95 B per
+# X = 1e9 peaks ~30 MB above an idle process's ~29 MB RSS (~0.95 B per
 # integer; ~57 MB, ~0.9 B, at a span just under 2^26).
 # A run where one segment would sieve more integers (a large segment size,
 # delta or h) is refused rather than left to fail in numpy's allocator.
@@ -127,11 +127,13 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
 
     The checkpoint digest is salted with the sweep's version and keeps the
     values exactly as passed, so an int X and a float X are different runs.
+    Only a run with a checkpoint builds it.
     """
     ks = check_ks(ks)
     work = tasks(mode, X, param, ks, segment_size)
-    digest = config_digest({"mode": mode, "ks": list(ks), "segment_size": segment_size,
-                            "salt": __version_salt__, "x": X, WINDOWS[mode][0]: param})
+    digest = config_digest({
+        "mode": mode, "ks": list(ks), "segment_size": segment_size,
+        "salt": __version_salt__, "x": X, WINDOWS[mode][0]: param}) if checkpoint else ""
     # The runner hands the worker to each pool process once, so a process
     # builds the sieve's base primes and grows the buffers once.
     workspace = Workspace(sieve if sieve is not None else MangoldtSieve())

@@ -1,8 +1,12 @@
-"""The package exports exactly what README's Library section documents, and
-every other top-level name in src is read by src itself."""
+"""The package exports exactly what README's Library section documents,
+every other top-level name in src is read by src itself, and a run loads only
+the modules it uses."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import psimoment
@@ -62,3 +66,28 @@ def test_src_names_have_src_readers():
                     if not (name.startswith("__") and name.endswith("__"))
                     and name not in psimoment.__all__ and name not in read)
     assert not unread, f"src names read by nothing in src: {unread}"
+
+
+# Run in a fresh interpreter: a serial run without a checkpoint, then one with
+# the checkpoint path given as argv[1].  Each prints which of the modules that
+# only a checkpoint (OpenSSL's hashlib) or a pool needs are loaded.
+FOOTPRINT = """
+import sys
+import psimoment, psimoment.cli
+LAZY = ("_hashlib", "concurrent.futures.process", "multiprocessing")
+psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256)
+print(*[name for name in LAZY if name in sys.modules])
+psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256,
+                                checkpoint=sys.argv[1])
+print(*[name for name in LAZY if name in sys.modules])
+"""
+
+
+def test_serial_run_loads_no_hashlib_or_pool(tmp_path):
+    src = str(SRC.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, str(tmp_path / "ck.jsonl")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["", "_hashlib", ""]

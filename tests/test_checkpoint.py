@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import logging
 import math
@@ -202,7 +203,8 @@ def test_runner_pool_linear_in_segments(monkeypatch):
         handed.append(len(fs))
         return wait(fs, **kwargs)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", _CountingPool)
+    # The runner looks the pool up in concurrent.futures on its pool branch.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
     monkeypatch.setattr(runner, "_worker", None)  # the fake pool sets it here
     monkeypatch.setattr(runner, "wait", counted_wait)
     n = 1 << 13
@@ -218,7 +220,7 @@ def _recording_pools(monkeypatch):
         pools.append(_CountingPool(max_workers, **init))
         return pools[-1]
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
     monkeypatch.setattr(runner, "_worker", None)  # the fake pool sets it here
     return pools
 

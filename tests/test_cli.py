@@ -303,6 +303,35 @@ def test_reproduce_format_json_stdout(monkeypatch, capsys):
     assert "mode=scaled-integral" in err
 
 
+def test_reproduce_takes_k(monkeypatch, capsys):
+    monkeypatch.setitem(cli.REPRODUCE_TABLES, "scaled-1e8", SMALL_TABLE)
+    args = ["reproduce", "scaled-1e8", "--format", "csv"]
+    code, out, err = run_cli(args + ["--k", "8,10"], capsys)
+    assert code == 0, err
+    want = psimoment.moment_integral_scaled(10**4, 0.01, [8, 10])
+    assert {row.k: row.actual for row in from_csv(out).rows} == want
+    code, out, err = run_cli(args, capsys)
+    assert code == 0, err
+    assert [row.k for row in from_csv(out).rows] == [2, 4, 6]
+
+
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_ctrl_c_exits_130(checkpoint, monkeypatch, tmp_path, capsys):
+    # One stderr line and no traceback; with --checkpoint it says how to go on.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.fixed_mod, "moment_integral_fixed", interrupted)
+    ck = tmp_path / "ck.jsonl"
+    args = ["fixed", "--x", "1000", "--h", "10", "--mode", "integral"]
+    code, out, err = run_cli(args + (["--checkpoint", str(ck)] if checkpoint else []),
+                             capsys)
+    assert code == 130
+    assert out == ""
+    assert err.splitlines() == [f"interrupted; re-run with --resume to continue from {ck}"
+                                if checkpoint else "interrupted"]
+
+
 def test_usage_error_exit_code():
     for args in (["fixed", "--x", "100"],  # missing --h
                  # without --checkpoint there is nothing to resume from
