@@ -25,7 +25,7 @@ LONG_RUN_SECONDS = 30 * 60
 
 def _parse_ks(text: str) -> tuple[int, ...]:
     try:
-        return sweep.check_ks(sorted({int(part) for part in text.split(",")}))
+        return sweep.check_ks(int(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad moment order list {text!r}: {exc}")
 

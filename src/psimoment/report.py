@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
 
 from . import __version__
 
@@ -56,24 +57,8 @@ def to_csv(report: MomentReport) -> str:
 
 
 def to_json(report: MomentReport) -> str:
-    payload = {
-        "mode": report.mode,
-        "x": report.x,
-        "h_or_delta": report.h_or_delta,
-        "wall_seconds": report.wall_seconds,
-        "version": __version__,
-        "rows": [
-            {
-                "k": r.k,
-                "actual": r.actual,
-                "predicted_thm": r.predicted_thm,
-                "predicted_ms": r.predicted_ms,
-                "ratio": r.ratio,
-            }
-            for r in report.rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps({**asdict(report), "version": __version__},
+                      indent=2, sort_keys=True) + "\n"
 
 
 def render_table(report: MomentReport) -> str:
@@ -90,15 +75,8 @@ def render_table(report: MomentReport) -> str:
 
 def emit(report: MomentReport, fmt: str, path: str | None) -> None:
     """Write report as csv or json to path, or stdout when path is None."""
-    if fmt == "csv":
-        text = to_csv(report)
-    elif fmt == "json":
-        text = to_json(report)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    text = to_csv(report) if fmt == "csv" else to_json(report)
     if path is None:
-        import sys
-
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, wait  # loads only concurrent.futures._base
 from typing import Any, Callable, Sequence
@@ -39,10 +40,18 @@ _worker: Worker | None = None  # a pool process's worker, set by _set_worker
 def _set_worker(worker: Worker) -> None:
     global _worker
     _worker = worker
+    # Ctrl-C reaches the whole process group.  A pool process waiting for its
+    # next task ignores it; the run's own KeyboardInterrupt shuts the pool down.
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def _call_worker(task):
-    return _worker(task)
+    # A pool process busy on a task hands the interrupt back as its result.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        return _worker(task)
+    finally:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 def run_tasks(

@@ -64,6 +64,7 @@ WINDOWS = {
 
 
 def check_ks(ks) -> tuple[int, ...]:
+    """The moment orders ks, sorted and each once."""
     ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one moment order")
@@ -71,7 +72,7 @@ def check_ks(ks) -> tuple[int, ...]:
         if not isinstance(k, int) or not 1 <= k <= MAX_ORDER:
             raise ValueError(
                 f"moment orders must be integers in [1, {MAX_ORDER}], got {k!r}")
-    return ks
+    return tuple(sorted(set(ks)))
 
 
 def check_finite(**values: float) -> None:
@@ -125,18 +126,22 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
         checkpoint: str | None, resume: bool, limit: float = math.inf) -> dict[int, float]:
     """Per-order moments of mode over [1, X], reduced in segment order.
 
-    The checkpoint digest is salted with the sweep's version and keeps the
-    values exactly as passed, so an int X and a float X are different runs.
-    Only a run with a checkpoint builds it.
+    The checkpoint digest is salted with the sweep's version and keeps X
+    and param exactly as passed, so an int X and a float X are different
+    runs; it covers the orders as a set, and the type of a sieve other than
+    the default.  Only a run with a checkpoint builds it.
     """
     ks = check_ks(ks)
     work = tasks(mode, X, param, ks, segment_size)
-    digest = config_digest({
-        "mode": mode, "ks": list(ks), "segment_size": segment_size,
-        "salt": __version_salt__, "x": X, WINDOWS[mode][0]: param}) if checkpoint else ""
+    sieve = MangoldtSieve() if sieve is None else sieve
+    config = {"mode": mode, "ks": list(ks), "segment_size": segment_size,
+              "salt": __version_salt__, "x": X, WINDOWS[mode][0]: param}
+    if type(sieve) is not MangoldtSieve:
+        config["sieve"] = f"{type(sieve).__module__}.{type(sieve).__qualname__}"
+    digest = config_digest(config) if checkpoint else ""
     # The runner hands the worker to each pool process once, so a process
     # builds the sieve's base primes and grows the buffers once.
-    workspace = Workspace(sieve if sieve is not None else MangoldtSieve())
+    workspace = Workspace(sieve)
     try:
         return run_tasks(partial(sweep_segment, workspace), work, ks, threads,
                          checkpoint, resume, digest, limit=limit)
@@ -215,16 +220,13 @@ def merge_split(leaves, enters, delta: float, beta: float, j: int) -> int:
     leaves then enters, so a leave comes before an enter at an equal
     coordinate.
     """
-    lo, hi = max(0, j - len(enters)), min(j, len(leaves))
-    while lo < hi:
-        r = (lo + hi) // 2
-        # With r leaves, the first j events end at enter j-r-1; leave r
-        # comes before it, so more than r leaves are among them.
-        if float(leaves[r]) <= enter_at(float(enters[j - r - 1]), delta, beta):
-            lo = r + 1
-        else:
-            hi = r
-    return lo
+    def past(r: int) -> bool:
+        # With r leaves, the first j events end at enter j-r-1; unless leave
+        # r comes after it, more than r leaves are among them.
+        return float(leaves[r]) > enter_at(float(enters[j - r - 1]), delta, beta)
+
+    return bisect_left(range(j + 1), True, max(0, j - len(enters)),
+                       min(j, len(leaves)), key=past)
 
 
 def _fold(v, parts: list, scratch) -> None:
@@ -314,7 +316,7 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace.sieve)
     x_buf, u_buf, c_buf, d_buf, r_buf = workspace.buffers()
     n = len(leaves) + len(enters)
-    parts: dict[int, list] = {k: [] for k in sorted(set(ks))}
+    parts: dict[int, list] = {k: [] for k in ks}
     x_buf[0], u_buf[0], r0 = a, s0 - beta, 0  # x[0], u[0], no leaves merged
     for i in range(0, n + 1, BLOCK):
         j = min(i + BLOCK, n + 1)

@@ -2,8 +2,13 @@ import concurrent.futures
 import json
 import logging
 import math
+import os
+import signal
+import subprocess
+import sys
 import time
 from concurrent.futures import Future, wait
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +19,16 @@ from psimoment.errors import LongRunError, NumericRangeError
 from psimoment import runner
 from psimoment.runner import run_tasks
 
+from oracles import ZeroMangoldt
+
+
+def _keep_first_records(path: str, n: int) -> None:
+    """Cut the checkpoint at path to its header and first n records."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines[:1 + n]) + "\n")
+
 
 def test_resume_bit_identical_sum(tmp_path):
     path = str(tmp_path / "ck.jsonl")
@@ -22,11 +37,7 @@ def test_resume_bit_identical_sum(tmp_path):
     full = moment_sum(2 * 10**4, 100, [2, 4], segment_size=2**12, checkpoint=path)
     assert full == baseline
 
-    # Simulate an interruption: keep only the header and first two segments.
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:3]) + "\n")
+    _keep_first_records(path, 2)  # as if the run stopped after two segments
     resumed = moment_sum(2 * 10**4, 100, [2, 4], segment_size=2**12,
                          checkpoint=path, resume=True)
     assert resumed == baseline  # bit-identical
@@ -36,10 +47,7 @@ def test_resume_bit_identical_scaled(tmp_path):
     path = str(tmp_path / "ck.jsonl")
     baseline = moment_integral_scaled(10**4, 0.05, [2], segment_size=1500)
     moment_integral_scaled(10**4, 0.05, [2], segment_size=1500, checkpoint=path)
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines[:2]) + "\n")
+    _keep_first_records(path, 1)
     resumed = moment_integral_scaled(10**4, 0.05, [2], segment_size=1500,
                                      checkpoint=path, resume=True)
     assert resumed == baseline
@@ -93,6 +101,28 @@ def test_digest_mismatch_refused(tmp_path):
     with pytest.raises(CheckpointError, match="digest mismatch"):
         # Different h -> different config digest.
         moment_sum(10**3, 20, [2], segment_size=256, checkpoint=path, resume=True)
+
+
+def test_resume_with_orders_reordered_or_repeated(tmp_path):
+    # The digest covers the orders as a set: [2, 4] and [2, 2, 4] resume [4, 2].
+    path = str(tmp_path / "ck.jsonl")
+    first = moment_sum(1000, 10, [4, 2], segment_size=256, checkpoint=path)
+    for ks in ([2, 4], [2, 2, 4]):
+        _keep_first_records(path, 2)
+        resumed = moment_sum(1000, 10, ks, segment_size=256, checkpoint=path, resume=True)
+        assert {k: v.hex() for k, v in resumed.items()} == \
+            {k: v.hex() for k, v in first.items()}
+
+
+def test_digest_covers_a_non_default_sieve(tmp_path):
+    path = str(tmp_path / "ck.jsonl")
+    zero = moment_sum(1000, 10, [2], segment_size=256, sieve=ZeroMangoldt(), checkpoint=path)
+    assert zero == {2: 100000.0}
+    _keep_first_records(path, 2)
+    with pytest.raises(CheckpointError, match="digest mismatch"):
+        moment_sum(1000, 10, [2], segment_size=256, checkpoint=path, resume=True)
+    assert moment_sum(1000, 10, [2], segment_size=256, sieve=ZeroMangoldt(),
+                      checkpoint=path, resume=True) == zero
 
 
 def test_digest_is_stable():
@@ -180,10 +210,12 @@ class _CountingPool:
     def __init__(self, max_workers, initializer, initargs):
         self.max_workers = max_workers
         self.in_flight = self.peak = 0
+        self.sigint = signal.getsignal(signal.SIGINT)
         initializer(*initargs)  # in this process, as a pool process would
 
     def shutdown(self, wait=True, cancel_futures=False):
-        pass
+        # The initializer made this process ignore Ctrl-C, as a pool process does.
+        signal.signal(signal.SIGINT, self.sigint)
 
     def submit(self, fn, *args):
         fut = _CountedFuture(self)
@@ -279,3 +311,47 @@ def test_runner_logs_progress(monkeypatch, caplog):
     assert lines[-1].endswith("ETA 0 s")
     monkeypatch.setattr(runner, "PROGRESS_SECONDS", 5)
     assert moment_integral_scaled(2e4, 0.01, [2, 4], segment_size=4096) == got
+
+
+# Two tasks on two workers: the fast one leaves its worker idle while the slow
+# one, which says when it has started, sleeps.  Ctrl-C exits as the CLI does.
+INTERRUPTED_POOL = """
+import sys, time
+from psimoment.runner import run_tasks
+
+def nap(seconds):
+    if seconds > 1:
+        print("started", flush=True)
+    time.sleep(seconds)
+    return {2: seconds}
+
+try:
+    run_tasks(nap, [0.01, 2.0], [2], threads=2)
+except KeyboardInterrupt:
+    print("interrupted", file=sys.stderr)
+    sys.exit(130)
+"""
+
+
+def test_runner_ctrl_c_prints_one_line_from_a_pool():
+    # The interrupt reaches the whole process group, as a terminal's Ctrl-C
+    # does: the idle worker prints nothing and the busy one stops at once.
+    src = str(Path(runner.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", INTERRUPTED_POOL], text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path}, start_new_session=True)
+    try:
+        assert proc.stdout.readline() == "started\n"
+        t0 = time.monotonic()
+        time.sleep(0.5)
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=10)
+        elapsed = time.monotonic() - t0
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert proc.returncode == 130, err
+    assert err.splitlines() == ["interrupted"], err  # no worker's traceback
+    assert elapsed < 1.5  # the slow task would have slept until 2 s

@@ -1,5 +1,6 @@
 import json
 
+from psimoment import __version__
 from psimoment.report import (
     CSV_COLUMNS,
     MomentReport,
@@ -51,6 +52,21 @@ def test_csv_golden_bytes():
     )
     assert to_csv(sample_report()) == expected
     assert to_csv(sample_report()) == to_csv(sample_report())
+
+
+def test_json_golden_bytes():
+    # Frozen once from the implementation, like the CSV bytes above.
+    expected = (
+        '{\n  "h_or_delta": 0.0001,\n  "mode": "scaled-integral",\n  "rows": [\n'
+        '    {\n      "actual": 4007500000000.0,\n      "k": 2,\n'
+        '      "predicted_ms": null,\n      "predicted_thm": 3897600000000.0,\n'
+        '      "ratio": 1.028197352216749\n    },\n'
+        '    {\n      "actual": 6.5161e+17,\n      "k": 4,\n'
+        '      "predicted_ms": null,\n      "predicted_thm": 6.0766e+17,\n'
+        '      "ratio": 1.0723265619426\n    }\n  ],\n'
+        f'  "version": "{__version__}",\n  "wall_seconds": 12.5,\n  "x": 100000000.0\n}}\n'
+    )
+    assert to_json(sample_report()) == expected
 
 
 def test_render_table_smoke():
