@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sweep import check_ks
+from .sweep import check_finite, check_ks
 
 EULER_GAMMA = 0.57721566490153286061
 
@@ -34,12 +34,7 @@ CONSTANTS = Constants(
 def gaussian_moment(k: int) -> float:
     """k-th central moment of the standard normal: (k-1)!! for even k, 0 odd."""
     check_ks([k])
-    if k % 2:
-        return 0.0
-    v = 1.0
-    for j in range(3, k, 2):
-        v *= j
-    return v
+    return 0.0 if k % 2 else float(math.prod(range(3, k, 2)))
 
 
 def poly_exp_integral(T: float, m: int) -> float:
@@ -47,6 +42,7 @@ def poly_exp_integral(T: float, m: int) -> float:
 
     Valid for negative T as well (signed orientation).
     """
+    check_finite(T=T)
     if not 0 <= m <= 8:
         raise ValueError(f"polynomial degree must be in [0, 8], got {m}")
     eT = math.exp(T)
@@ -63,6 +59,7 @@ def fixed_main_term(X: float, h: float, k: int) -> float:
     log(x/norm_scale)^(k/2) dx, evaluated in closed form.
     """
     check_ks([k])
+    check_finite(X=X, h=h)
     if X <= 0 or h <= 0:
         raise ValueError("X and h must be positive")
     ratio = X / h
@@ -85,6 +82,7 @@ def fixed_main_term(X: float, h: float, k: int) -> float:
 def scaled_main_term(X: float, delta: float, k: int) -> float:
     """Main term for the proportional-window moment integral at ratio delta."""
     check_ks([k])
+    check_finite(X=X, delta=delta)
     if X <= 0 or delta <= 0:
         raise ValueError("X and delta must be positive")
     if delta >= 1.0 / CONSTANTS.norm_scale:
@@ -112,6 +110,7 @@ def fixed_main_term_from_one(N: float, h: float, k: int) -> float:
     power, so the lower tail below x = norm_scale*h contributes with sign.
     """
     check_ks([k])
+    check_finite(N=N, h=h)
     if N < 1 or h < 1:
         raise ValueError("N and h must be >= 1")
     if k % 2:
@@ -125,6 +124,7 @@ def fixed_main_term_from_one(N: float, h: float, k: int) -> float:
 
 def cramer_variance(N: float, h: float) -> tuple[float, float]:
     """(short-interval variance h*log(N/h), Cramer-model variance h*log N)."""
+    check_finite(N=N, h=h)
     if not 1 <= h <= N:
         raise ValueError("need 1 <= h <= N")
     return (h * math.log(N / h), h * math.log(N))

@@ -1,9 +1,9 @@
 """Segmented sieve for the von Mangoldt function and its summatory function.
 
 Lambda(n) = log p when n = p^m is a prime power, 0 otherwise.  A segment's
-primes come from a boolean mask over its odd n only.  The mask starts as a
-tiled copy of the wheel, the odd n prime to 3*5*7*11*13, which repeat with
-period 15015 in the odd index.  The base primes up to length/ROUNDS then
+primes come from a boolean mask over its odd n only.  The mask starts as
+the wheel tiled by np.resize: the odd n prime to 3*5*7*11*13, which repeat
+with period 15015 in the odd index.  The base primes up to length/ROUNDS then
 cross off their odd multiples one strided slice each.  Every larger prime
 has at most ROUNDS multiples in the mask, so those are crossed off
 together, one multiple per prime per round, in O(#primes) memory.  The
@@ -100,16 +100,8 @@ def _odd_mask(lo: int, hi: int, base: BasePrimes) -> tuple[int, np.ndarray]:
     """
     o0 = lo + 1 + (lo & 1)
     length = (hi - o0) // 2 + 1
-    mask = np.empty(length, dtype=bool)
-    # Tile the wheel into place, doubling the filled prefix; its length stays
-    # a multiple of the period until the last copy.
     phase = (o0 // 2) % WHEEL
-    done = min(length, WHEEL)
-    mask[:done] = _WHEEL[phase : phase + done]
-    while done < length:
-        step = min(done, length - done)
-        mask[done : done + step] = mask[:step]
-        done += step
+    mask = np.resize(_WHEEL[phase : phase + WHEEL], length)
     for q in WHEEL_PRIMES:
         if lo < q <= hi:
             mask[(q - o0) // 2] = True
@@ -183,9 +175,10 @@ def _chunks(lo: int, hi: int):
 class MangoldtSieve:
     """Reusable segmented sieve; base primes grow lazily and are immutable
     once built.  Instances are picklable and safe to share across workers.
-    events sieves its range in one call, at ~0.5 B per integer plus 16 B per
-    prime power returned; the sweep caps that range at sweep.MAX_SEGMENT_SIZE.
-    Only the sums stream, by chunks of DEFAULT_SEGMENT_SIZE integers.
+    events, the only way into the sieve, sieves its range in one call at
+    ~0.5 B per integer plus 16 B per prime power returned.  The sweep caps
+    that range at sweep.MAX_SEGMENT_SIZE; the sums stream it by chunks of
+    DEFAULT_SEGMENT_SIZE integers.
     """
 
     def __init__(self):
@@ -217,11 +210,10 @@ class MangoldtSieve:
         if not 1 <= x < math.inf:
             raise ValueError(f"psi requires finite x >= 1, got {x}")
         n = math.floor(x)
-        base = self.base_primes(math.isqrt(n))
-        powers = base.powers[0]
         count, sums = 0, []
         for a, b in _chunks(0, n):
-            ns, ws = lambda_segment(Segment(a, b), base)
+            ns, ws = self.events(a, b)
+            powers = self.base_primes(math.isqrt(b)).powers[0]
             first, last = np.searchsorted(powers, (a, b), "right")
             count += len(ns) - int(last - first)
             sums.append(math.fsum(ws))

@@ -160,7 +160,8 @@ class Workspace:
     through out= instead: five of BLOCK + 2 values (~2.6 MB in all) hold one
     block of pieces, whatever the segment's size.  Once a block's pieces are
     built, the one that held their coordinates and the merge's permutation
-    are the fold's scratch.  So later segments map no new pages.  Only where
+    are the fold's scratch.  So later segments' blocks map no new pages; the
+    sieve call's arrays are still fresh in every segment.  Only where
     values are stored changes, not how they are computed, so the bits are
     those of fresh arrays.
     """
@@ -181,11 +182,10 @@ def enter_at(v, delta: float, beta: float):
 
     v is a float, or a float64 array that is changed in place; both take
     the same two roundings, so a block's coordinates and the merge's
-    comparisons agree.
+    comparisons agree.  A fixed window divides by 1.0, which is exact.
     """
     v -= beta
-    if 1.0 + delta != 1.0:  # dividing by 1.0 is exact, so skipping it keeps the bits
-        v /= 1.0 + delta
+    v /= 1.0 + delta
     return v
 
 

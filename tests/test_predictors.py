@@ -41,6 +41,22 @@ def test_gaussian_moment_domain():
         gaussian_moment(17)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: fixed_main_term(math.nan, 1e5, 3),
+    lambda: fixed_main_term(1e8, math.inf, 2),
+    lambda: scaled_main_term(math.nan, 1e-4, 3),
+    lambda: scaled_main_term(math.inf, 1e-4, 2),
+    lambda: fixed_main_term_from_one(math.nan, 1e5, 2),
+    lambda: poly_exp_integral(math.nan, 2),
+    lambda: poly_exp_integral(-math.inf, 2),
+    lambda: cramer_variance(math.inf, 1e5),
+], ids=["fixed", "fixed-h", "scaled", "scaled-X", "from-one", "poly-exp",
+        "poly-exp-inf", "cramer"])
+def test_predictors_reject_non_finite(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 def test_poly_exp_integral_trivial():
     assert poly_exp_integral(1.0, 0) == pytest.approx(math.e - 1, rel=1e-15)
     assert poly_exp_integral(1.0, 1) == pytest.approx(1.0, rel=1e-12)

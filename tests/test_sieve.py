@@ -163,6 +163,15 @@ def test_prime_count_matches_small_primes():
         assert prime_count(n) == len(small_primes(n).primes), n
 
 
+def test_pi_and_psi_across_a_chunk_edge():
+    # The first chunk ends at 2^22, itself a prime power, so the count and
+    # the sum must take it from the first chunk and nothing from the second.
+    n = sieve_module.DEFAULT_SEGMENT_SIZE + 3
+    count, psi = MangoldtSieve().pi_and_psi(n)
+    assert count == prime_count(n)
+    assert psi == pytest.approx(oracles.psi(n, n), rel=1e-12)
+
+
 def test_psi_values():
     sieve = MangoldtSieve()
     assert sieve.psi(1.5) == 0.0
