@@ -32,6 +32,7 @@ def moment_sum(
     """Discrete moment sum over anchors n = 1..X for each order in ks."""
     if not (isinstance(X, int) and isinstance(h, int)):
         raise ValueError("sum mode requires integer X and h")
+    sweep.check_finite(X=X, h=h)
     if not 1 <= h <= X:
         raise ValueError(f"need 1 <= h <= X, got h={h}, X={X}")
     return sweep.run("fixed-sum", X, h, ks, sieve, threads, segment_size,

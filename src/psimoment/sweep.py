@@ -8,6 +8,10 @@ x = (m - beta)/(1+delta), so S is constant between consecutive events and u
 is linear on each piece, constant when delta = 0.  The integral is an exact
 sum over pieces, folded block by block in the workspace's own buffers.
 
+The blocks are swept by a compiled kernel (_sweep.c, built and loaded by
+:mod:`psimoment.kernel`) where it builds, loads and matches the numpy path,
+which is kept as its fallback and its reference: both give the same bits.
+
 Every segment rebuilds its window state from one sieve call, so segments are
 independent and the ordered reduction in :mod:`psimoment.runner` gives the
 same bits for any worker count.
@@ -15,6 +19,7 @@ same bits for any worker count.
 
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from bisect import bisect_left, bisect_right
@@ -22,18 +27,21 @@ from functools import partial
 
 import numpy as np
 
+from . import kernel
 from .checkpoint import config_digest
 from .runner import run_tasks
 from .sieve import MangoldtSieve
 
 __version_salt__ = 4  # bump to invalidate old checkpoints on algorithm change
 
+log = logging.getLogger(__name__)
+
 MAX_ORDER = 16
 
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
-# buffers and merge permutation take ~3 MB, and neither the merge nor any
-# order copies a whole segment.  For the fold, 2^16 was the fastest of
-# 2^13..2^18 on a 0.46M-piece segment.  Blocks start at fixed indices, so
+# buffers take ~2.6 MB (the numpy path's merge permutation ~0.5 MB more),
+# and neither the merge nor any order copies a whole segment.  For the numpy
+# fold, 2^16 was the fastest of 2^13..2^18 on a 0.46M-piece segment.  Blocks start at fixed indices, so
 # the bits do not depend on how the pieces were produced.  Each block folds
 # down to at most FOLD_TO sums.
 BLOCK = 1 << 16
@@ -45,10 +53,10 @@ FOLD_TO = 64
 MAX_SEGMENTS = 1 << 20
 
 # One segment holds its sieve arrays and the workspace's ~2.6 MB of block
-# buffers, so its memory grows with its one sieve call's span, which is
-# longer than the segment by the window's width: a serial 2^25 segment at
-# X = 1e9 peaks ~30 MB above an idle process's ~29 MB RSS (~0.95 B per
-# integer; ~57 MB, ~0.9 B, at a span just under 2^26).
+# buffers (the five that both paths use), so its memory grows with its one
+# sieve call's span, which is longer than the segment by the window's width:
+# a serial 2^25 segment at X = 1e9 peaks ~30 MB above an idle process's
+# ~29 MB RSS (~0.95 B per integer; ~57 MB, ~0.9 B, at a span just under 2^26).
 # A run where one segment would sieve more integers (a large segment size,
 # delta or h) is refused rather than left to fail in numpy's allocator.
 MAX_SEGMENT_SIZE = 1 << 26
@@ -76,9 +84,15 @@ def check_ks(ks) -> tuple[int, ...]:
 
 
 def check_finite(**values: float) -> None:
+    """Raise ValueError unless every value is finite as a float."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        try:
+            if math.isfinite(value):
+                continue
+        except OverflowError:  # an int past the float range
+            raise ValueError(f"{name} must be finite, got an int of "
+                             f"{value.bit_length()} bits") from None
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
@@ -139,6 +153,7 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
     if type(sieve) is not MangoldtSieve:
         config["sieve"] = f"{type(sieve).__module__}.{type(sieve).__qualname__}"
     digest = config_digest(config) if checkpoint else ""
+    load_kernel()  # here, so that pool processes inherit it
     # The runner hands the worker to each pool process once, so a process
     # builds the sieve's base primes and grows the buffers once.
     workspace = Workspace(sieve)
@@ -154,13 +169,14 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
 class Workspace:
     """A process's sieve and the float64 buffers its segments reuse.
 
-    A large numpy array is a fresh mapping whose pages the kernel zeroes on
-    first touch: with a fresh array per temporary, a 2^22 segment faults in
-    ~9.6k pages (~38 MB).  The sweep writes its arrays into these buffers
-    through out= instead: five of BLOCK + 2 values (~2.6 MB in all) hold one
-    block of pieces, whatever the segment's size.  Once a block's pieces are
-    built, the one that held their coordinates and the merge's permutation
-    are the fold's scratch.  So later segments' blocks map no new pages; the
+    A large numpy array is a fresh mapping whose pages the operating system
+    zeroes on first touch: with a fresh array per temporary, a 2^22 segment
+    faults in ~9.6k pages (~38 MB).  The sweep writes its arrays into these
+    buffers through out= instead: five of BLOCK + 2 values (~2.6 MB in all) hold one
+    block of pieces, whatever the segment's size.  The compiled kernel needs
+    nothing else.  On the numpy path, once a block's pieces are built, the
+    one that held their coordinates and the merge's permutation are the
+    fold's scratch.  So later segments' blocks map no new pages; the
     sieve call's arrays are still fresh in every segment.  Only where
     values are stored changes, not how they are computed, so the bits are
     those of fresh arrays.
@@ -297,29 +313,20 @@ def fold_powers(u_lo, u_hi, q, r, parts: dict[int, list], scratch) -> None:
             _fold(r if u_hi is None else q, parts[k], scratch)
 
 
-def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
-    """Per-order integrals of u^k over x in [a, b] for one segment.
+def _sweep_numpy(events, task, buffers, block: int) -> dict[int, list]:
+    """The parts of every order of task's segment, block by block in numpy.
 
-    The n events cut [a, b] into n + 1 pieces: piece i runs from x[i] to
-    x[i+1], where x is a, the merged event coordinates, then b, and its
-    window weight u[i] + beta is s0 plus the signed weights of the first i
-    events.  The pieces are built and folded in fixed index blocks of
-    BLOCK, so the events are never merged as a whole: block [i, j) starts
-    from the x[i], u[i] and count of merged leaves that the block before it
-    left, and merges only the events behind x[i+1..j], with the additions
-    of one cumsum over all pieces.  Every order's block is folded by _fold
-    and one math.fsum per order adds the folds of all blocks.  With
-    delta = 0 u is constant on each piece and a piece's term is its
-    integral L*u^k; otherwise the term is (k+1) times it.
+    The reference for the compiled kernel and the fallback where it does
+    not build, load or match: see sweep_segment.
     """
     a, b, delta, beta, ks = task
-    s0, leaves, enters, leave_ws, enter_ws = window_events(a, b, delta, beta, workspace.sieve)
-    x_buf, u_buf, c_buf, d_buf, r_buf = workspace.buffers()
+    s0, leaves, enters, leave_ws, enter_ws = events
+    x_buf, u_buf, c_buf, d_buf, r_buf = buffers
     n = len(leaves) + len(enters)
     parts: dict[int, list] = {k: [] for k in ks}
     x_buf[0], u_buf[0], r0 = a, s0 - beta, 0  # x[0], u[0], no leaves merged
-    for i in range(0, n + 1, BLOCK):
-        j = min(i + BLOCK, n + 1)
+    for i in range(0, n + 1, block):
+        j = min(i + block, n + 1)
         pieces = j - i
         # Events i..last-1 are x[i+1..last]; the last block ends at x[n+1] = b.
         last = min(j, n)
@@ -360,4 +367,133 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
         # pieces - 1).  x[j] and u[j] lie past x[:-1] and u: the next block's start.
         fold_powers(u, u_hi, q, r, parts, (x[:-1], order.view(np.float64)))
         x_buf[0], u_buf[0], r0 = x[-1], u_buf[pieces], r1
+    return parts
+
+
+def _sweep_kernel(fn, events, task, buffers, block: int) -> dict[int, list]:
+    """_sweep_numpy's parts, from one call of the compiled kernel fn.
+
+    The kernel merges the runs in one linear pass instead of a sort per
+    block, and needs no scratch beyond the five buffers.
+    """
+    a, b, delta, beta, ks = task
+    if any(len(v) < block + 2 or v.dtype != np.float64 or not v.flags.c_contiguous
+           for v in buffers):
+        raise ValueError(f"the kernel needs five contiguous float64 buffers of {block + 2}")
+    s0, *runs = events
+    leaves, enters = (np.ascontiguousarray(v, dtype=np.int64) for v in runs[:2])
+    leave_ws, enter_ws = (np.ascontiguousarray(v, dtype=np.float64) for v in runs[2:])
+    orders = np.array(sorted(set(ks)), dtype=np.int64)
+    n = len(leaves) + len(enters)
+    # A block of m pieces folds to at most m parts, and to at most FOLD_TO
+    # sums and errors plus two per halving.
+    cap = (n // block + 1) * min(block, 2 * FOLD_TO + 2 * block.bit_length())
+    parts = np.empty((len(orders), cap))
+    counts = np.empty(len(orders), dtype=np.int64)
+    fn(leaves.ctypes.data, leave_ws.ctypes.data, len(leaves),
+       enters.ctypes.data, enter_ws.ctypes.data, len(enters),
+       a, b, delta, beta, s0, orders.ctypes.data, len(orders), block, FOLD_TO,
+       *(v.ctypes.data for v in buffers), parts.ctypes.data, cap, counts.ctypes.data)
+    got = {int(k): p[:c].tolist() for k, p, c in zip(orders, parts, counts)}
+    return {k: got[k] for k in ks}
+
+
+def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
+    """Per-order integrals of u^k over x in [a, b] for one segment.
+
+    The n events cut [a, b] into n + 1 pieces: piece i runs from x[i] to
+    x[i+1], where x is a, the merged event coordinates, then b, and its
+    window weight u[i] + beta is s0 plus the signed weights of the first i
+    events.  The pieces are built and folded in fixed index blocks of
+    BLOCK, so the events are never merged as a whole: block [i, j) starts
+    from the x[i], u[i] and count of merged leaves that the block before it
+    left, and merges only the events behind x[i+1..j], with the additions
+    of one cumsum over all pieces.  Every order's block is folded by _fold
+    and one math.fsum per order adds the folds of all blocks.  With
+    delta = 0 u is constant on each piece and a piece's term is its
+    integral L*u^k; otherwise the term is (k+1) times it.
+
+    After window_events, the compiled kernel does all of it where it loaded
+    and passed its check, the orders are positive and the events are int64
+    and float64 arrays, as MangoldtSieve's are; otherwise the numpy path
+    does, with the same bits.
+    """
+    a, b, delta, beta, ks = task
+    events = window_events(a, b, delta, beta, workspace.sieve)
+    fn = load_kernel()
+    if fn and all(k >= 1 for k in ks) and all(
+            np.asarray(v).dtype == t for v, t in zip(events[1:], KERNEL_DTYPES)):
+        parts = _sweep_kernel(fn, events, task, workspace.buffers(), BLOCK)
+    else:
+        parts = _sweep_numpy(events, task, workspace.buffers(), BLOCK)
     return {k: math.fsum(p) / (k + 1 if delta else 1) for k, p in parts.items()}
+
+
+# The dtypes of window_events' runs that the compiled kernel takes, which are
+# MangoldtSieve's; a sieve= that returns others is swept by numpy.
+KERNEL_DTYPES = (np.int64, np.int64, np.float64, np.float64)
+
+# Before it is used, the compiled kernel must give the numpy path's parts on
+# these runs' segments: both window shapes, an h whose enters fall on
+# leaves, every order, a segment that folds nothing, and one of several
+# blocks of CHECK_BLOCK pieces that fold through odd tails and levels that
+# carry errors.
+CHECK_RUNS = [("fixed-sum", 1050, 78), ("scaled-integral", 1050.5, 0.37)]
+CHECK_BLOCK = 300
+
+_kernel = None  # the compiled sweep once checked; False where numpy sweeps
+
+
+class CheckEvents:
+    """check_kernel's event stream: each n = 1 mod 3, of weight 1/(n % 7 + 1.5).
+
+    No sieve: the parent of a pool checks the kernel and need not map the
+    sieve's code and tables (~1 MB) that only its workers use.
+    """
+
+    def events(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+        ns = range(lo + 1 + (-lo) % 3, hi + 1, 3)
+        return (np.array(ns, dtype=np.int64),
+                np.array([1.0 / (n % 7 + 1.5) for n in ns]))
+
+
+def check_kernel(fn) -> tuple | None:
+    """The first check task whose parts from fn differ from numpy's, or None."""
+    sieve = CheckEvents()
+    buffers = tuple(np.empty(CHECK_BLOCK + 2) for _ in range(5))
+    for mode, X, param in CHECK_RUNS:
+        for task in tasks(mode, X, param, range(1, MAX_ORDER + 1), 1000):
+            events = window_events(*task[:4], sieve)
+            want = _sweep_numpy(events, task, buffers, CHECK_BLOCK)
+            got = _sweep_kernel(fn, events, task, buffers, CHECK_BLOCK)
+            if any(np.array(got[k]).tobytes() != np.array(p).tobytes()
+                   for k, p in want.items()):
+                return task
+    return None
+
+
+def load_kernel():
+    """The compiled sweep, or False where it does not build, load or match numpy.
+
+    Decided once per process, with one log line that names the path in
+    use: a kernel whose parts differ from the numpy path's on check_kernel's
+    segments by one bit (an x87 or FMA-contracting toolchain, say) is not
+    used.
+    """
+    global _kernel
+    if _kernel is None:
+        try:
+            fn, path = kernel.load()
+        except OSError as exc:
+            log.warning("sweep: numpy path; the compiled kernel did not build or load: %s", exc)
+            fn = False
+        else:
+            task = check_kernel(fn)
+            if task:
+                log.warning("sweep: numpy path; the compiled kernel %s differs from it "
+                            "on the segment %s", path, task[:4])
+                fn = False
+            else:
+                log.info("sweep: compiled kernel %s", path)
+        _kernel = fn
+    return _kernel

@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import psimoment
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -91,3 +93,21 @@ def test_serial_run_loads_no_hashlib_or_pool(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["", "_hashlib", ""]
+
+
+HUGE = 10**400  # an int past the float range
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psimoment.fixed_main_term(HUGE, 1e5, 2),
+    lambda: psimoment.scaled_main_term(HUGE, 1e-4, 2),
+    lambda: psimoment.cramer_variance(HUGE, 10),
+    lambda: psimoment.moment_sum(HUGE, 10**5, [2]),
+    lambda: psimoment.moment_integral_fixed(HUGE, 1e5, [2]),
+    lambda: psimoment.moment_integral_scaled(HUGE, 1e-4, [2]),
+], ids=["fixed_main_term", "scaled_main_term", "cramer_variance", "moment_sum",
+        "moment_integral_fixed", "moment_integral_scaled"])
+def test_int_past_float_range_is_a_value_error(call):
+    # Not the OverflowError of converting it to a float.
+    with pytest.raises(ValueError, match="must be finite, got an int of 1329 bits"):
+        call()

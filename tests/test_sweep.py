@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -293,11 +294,28 @@ PINNED_RUNS = [
 ]
 
 
+@contextmanager
+def numpy_path():
+    """Sweep with the numpy path, where the compiled kernel would be used."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_kernel", False)
+        yield
+
+
+# The tests below without "numpy_path" in their names sweep as a run does:
+# with the compiled kernel, which tests/test_kernel.py requires wherever a
+# compiler works.
 @pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)
 def test_pinned_bits(fn, args, size, want):
     assert sweep.__version_salt__ == 4
     got = fn(*args, KS16, segment_size=size)
     assert [got[k].hex() for k in KS16] == want
+
+
+@pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)
+def test_pinned_bits_numpy_path(fn, args, size, want):
+    with numpy_path():
+        test_pinned_bits(fn, args, size, want)
 
 
 # Each entry names one task, (mode, X, param, segment_size, index), and the
@@ -415,9 +433,7 @@ def test_steady_state_segment_maps_no_fresh_pages():
     assert faults[-1] < 1000, faults
 
 
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_blocked_sweep_matches_full_stream(data):
+def check_blocked_sweep(data):
     # With blocks of a few pieces, every segment merges and sums across many
     # block boundaries; each must return the bits of the full-stream sweep,
     # which merges the whole segment and builds every piece at once.
@@ -432,6 +448,19 @@ def test_blocked_sweep_matches_full_stream(data):
             got = sweep.sweep_segment(workspace, task)
             want = oracles.sweep_segment_reference(oracles.ReferenceWorkspace(sieve), task)
             assert _hexes(got) == _hexes(want), (block, task)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_blocked_sweep_matches_full_stream(data):
+    check_blocked_sweep(data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_blocked_sweep_numpy_path_matches_full_stream(data):
+    with numpy_path():
+        check_blocked_sweep(data)
 
 
 # The window (x, (1+delta)x + beta] of every mode, and of windows with both
