@@ -18,7 +18,7 @@ from . import fixed as fixed_mod
 from . import predictors, scaled as scaled_mod, sweep
 from .errors import CheckpointError, LongRunError, NumericRangeError
 from .report import MomentReport, MomentRow, emit, render_table
-from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve, prime_count
+from .sieve import MangoldtSieve, prime_count
 
 LONG_RUN_SECONDS = 30 * 60
 
@@ -41,7 +41,10 @@ def _add_run_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=_parse_ks, default=(2, 4, 6),
                    help="comma-separated moment orders (default 2,4,6)")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_SIZE)
+    p.add_argument("--segment-size", type=int, metavar="N",
+                   help="integers per segment (default: the smallest power of two "
+                        "that is at least 2^21, at least 16 times the window's width "
+                        "at X and at least X / 2^20)")
     p.add_argument("--checkpoint", metavar="PATH")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", metavar="PATH")

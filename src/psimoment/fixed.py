@@ -15,7 +15,6 @@ over [lo+1, hi+1].
 from __future__ import annotations
 
 from . import sweep
-from .sieve import DEFAULT_SEGMENT_SIZE
 
 
 def moment_sum(
@@ -25,7 +24,7 @@ def moment_sum(
     *,
     sieve=None,
     threads: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
 ) -> dict[int, float]:
@@ -46,7 +45,7 @@ def moment_integral_fixed(
     *,
     sieve=None,
     threads: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
 ) -> dict[int, float]:

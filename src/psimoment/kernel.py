@@ -2,12 +2,18 @@
 
 The C source ships next to this module.  load() compiles it with the system
 C compiler into a per-user cache directory ($XDG_CACHE_HOME/psimoment, else
-~/.cache/psimoment, or psimoment-<uid> in the temp directory where neither
-can be written) and loads it from there.  The file name carries a CRC-32 of
-the source, the flags, the compiler's name and the machine, so a changed
-source or flag builds a new library beside the old ones; a build is
-published by an atomic rename, so concurrent first runs never load a
-half-written file.
+~/.cache/psimoment, else psimoment-<uid> in the temp directory) and loads it
+from there.  The file name carries a CRC-32 of the source, the flags, the
+compiler's name and the machine, so a changed source or flag builds a new
+library, and the build removes the directory's other libraries.  A build is
+loaded under a name of its own and then published by an atomic rename, so
+concurrent first runs never load a half-written file.
+
+A library runs its constructors when it loads, before any check of its
+numbers, so only this user's own files are loaded: a directory or library
+that is a symlink, is another user's, or can be written by group or others
+is passed over, and where no cache directory is left the library is built
+into a fresh private temporary directory, removed once it is loaded.
 Nothing here runs at import: psimoment.sweep calls load() on its first sweep
 and checks the kernel's bits against its numpy path before using it.
 """
@@ -15,8 +21,10 @@ and checks the kernel's bits against its numpy path before using it.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 import platform
+import stat
 import sys
 import tempfile
 import zlib
@@ -33,59 +41,120 @@ ARGTYPES = (_P, _P, _N, _P, _P, _N, _F, _F, _F, _F, _F, _P, _N, _N, _N,
             _P, _P, _P, _P, _P, _P, _N, _P)
 
 
-def cache_dir() -> str:
-    """The first of the per-user and the temp cache directory that is writable."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
-    user = os.getuid() if hasattr(os, "getuid") else os.getlogin()
-    fallback = os.path.join(tempfile.gettempdir(), f"psimoment-{user}")
-    for path in (os.path.join(base, "psimoment"), fallback):
-        try:
-            os.makedirs(path, exist_ok=True)
-        except OSError:
-            continue
-        if os.access(path, os.W_OK):
-            return path
-    raise OSError(f"no writable cache directory: {base}/psimoment or {fallback}")
+def private(path: str) -> bool:
+    """Whether path is this user's alone: no symlink, and no one else can write it."""
+    st = os.lstat(path)
+    return (not stat.S_ISLNK(st.st_mode) and st.st_uid == os.getuid()
+            and not st.st_mode & (stat.S_IWGRP | stat.S_IWOTH))
 
 
-def library_path() -> str:
-    """Where the library for this source, these flags and this machine is cached."""
+def library_name() -> str:
+    """The library's file name for this source, these flags and this machine."""
     with open(SOURCE, "rb") as fh:
         key = zlib.crc32(fh.read())
     key = zlib.crc32(repr((FLAGS, COMPILER, platform.machine(), sys.platform)).encode(), key)
-    return os.path.join(cache_dir(), f"_sweep-{key:08x}.so")
+    return f"_sweep-{key:08x}.so"
 
 
-def build(path: str) -> None:
-    """Compile SOURCE to path, through a temporary name in the same directory."""
+def cache_dir(name: str) -> str | None:
+    """The per-user or else the temp cache directory, the first that is this
+    user's alone and writable and holds no library called name that is not;
+    None where neither is.  Each is made with mode 0700 if missing.
+    """
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    fallback = os.path.join(tempfile.gettempdir(), f"psimoment-{os.getuid()}")
+    for path in (os.path.join(base, "psimoment"), fallback):
+        try:
+            os.makedirs(path, mode=0o700, exist_ok=True)
+            library = os.path.join(path, name)
+            if (private(path) and os.access(path, os.W_OK)
+                    and (not os.path.lexists(library) or private(library))):
+                return path
+        except OSError:
+            continue
+    return None
+
+
+def build(out: str) -> None:
+    """Compile SOURCE to out, which only its owner can write."""
     import subprocess  # ~4 ms and ~0.3 MB: only a build loads it
 
-    tmp = f"{path}.{os.getpid()}.tmp"
+    failed = "the compiled kernel did not build or load:"
     try:
-        done = subprocess.run([COMPILER, *FLAGS, "-o", tmp, SOURCE],
+        done = subprocess.run([COMPILER, *FLAGS, "-o", out, SOURCE],
                               capture_output=True, text=True, timeout=300)
-        if done.returncode:
-            raise OSError(f"{COMPILER} exited {done.returncode}: {done.stderr.strip()}")
-        os.replace(tmp, path)
-    except subprocess.SubprocessError as exc:
-        raise OSError(f"{COMPILER}: {exc}") from exc
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    except (OSError, subprocess.SubprocessError) as exc:  # OSError: no such compiler
+        raise OSError(f"{failed} {COMPILER}: {exc}") from exc
+    if done.returncode:
+        raise OSError(f"{failed} {COMPILER} exited {done.returncode}: {done.stderr.strip()}")
+    os.chmod(out, 0o755)
 
 
-def load():
-    """(psimoment_sweep as a ctypes function, its library's path).
+def open_checked(path: str, check):
+    """psimoment_sweep from the library at path, if check(fn) finds nothing wrong.
 
-    Builds the library first if the cache lacks it.  Raises OSError when no
-    compiler, cache directory or load works.
+    Raises OSError, with the reason, when the library does not load or has
+    no such symbol, and when check names what is wrong with it.
     """
-    path = library_path()
-    if not os.path.exists(path):
-        build(path)
     try:
         fn = ctypes.CDLL(path).psimoment_sweep
-    except AttributeError as exc:  # a library without the symbol
-        raise OSError(f"{path}: {exc}") from exc
+    except (OSError, AttributeError) as exc:  # AttributeError: no such symbol
+        raise OSError(f"the compiled kernel did not build or load: {path}: {exc}") from exc
     fn.argtypes, fn.restype = ARGTYPES, None
+    problem = check(fn)
+    if problem:
+        raise OSError(f"the compiled kernel {path} {problem}")
+    return fn
+
+
+_builds = itertools.count()  # this process's builds, for their fresh names
+
+
+def build_checked(directory: str, name: str, check):
+    """Build the library into directory, load and check it, then publish it as name.
+
+    The build is loaded under a fresh name, which this process cannot have
+    loaded before (the dynamic loader would hand back that library), and
+    renamed to name only once it has passed.  Then the directory's other
+    libraries are removed.
+    """
+    path = os.path.join(directory, name)
+    fresh = f"{path}.{os.getpid()}-{next(_builds)}.tmp"
+    try:
+        build(fresh)
+        fn = open_checked(fresh, check)
+        os.replace(fresh, path)
+    finally:
+        if os.path.lexists(fresh):
+            os.unlink(fresh)
+    for other in os.listdir(directory):
+        if other != name and other.startswith("_sweep-") and other.endswith(".so"):
+            try:
+                os.unlink(os.path.join(directory, other))
+            except OSError:
+                pass
     return fn, path
+
+
+def load(check=lambda fn: None):
+    """(psimoment_sweep as a ctypes function, its library's path).
+
+    check(fn) returns what is wrong with a loaded kernel, or None.  A cached
+    library that does not load or that check faults is rebuilt once; a
+    missing one is built.  Raises OSError, whose message says why, when no
+    build loads and passes.
+    """
+    if not hasattr(os, "getuid"):
+        raise OSError("the compiled kernel is loaded only where files have owners")
+    name = library_name()
+    directory = cache_dir(name)
+    if directory is None:
+        with tempfile.TemporaryDirectory(prefix="psimoment-") as directory:
+            return build_checked(directory, name, check)
+    path = os.path.join(directory, name)
+    if os.path.exists(path):
+        try:
+            return open_checked(path, check), path
+        except OSError:
+            pass
+    return build_checked(directory, name, check)

@@ -9,7 +9,6 @@ the sweep of :mod:`psimoment.sweep` with beta = 0.
 from __future__ import annotations
 
 from . import sweep
-from .sieve import DEFAULT_SEGMENT_SIZE
 
 
 def moment_integral_scaled(
@@ -19,7 +18,7 @@ def moment_integral_scaled(
     *,
     sieve=None,
     threads: int = 1,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
+    segment_size: int | None = None,
     checkpoint: str | None = None,
     resume: bool = False,
 ) -> dict[int, float]:

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_SEGMENT_SIZE = 1 << 22
+DEFAULT_SEGMENT_SIZE = 1 << 21
 
 WHEEL_PRIMES = (3, 5, 7, 11, 13)
 WHEEL = math.prod(WHEEL_PRIMES)

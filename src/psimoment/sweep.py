@@ -30,36 +30,45 @@ import numpy as np
 from . import kernel
 from .checkpoint import config_digest
 from .runner import run_tasks
-from .sieve import MangoldtSieve
+from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
 
-__version_salt__ = 4  # bump to invalidate old checkpoints on algorithm change
+__version_salt__ = 5  # bump to invalidate old checkpoints on algorithm change
 
 log = logging.getLogger(__name__)
 
 MAX_ORDER = 16
 
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
-# buffers take ~2.6 MB (the numpy path's merge permutation ~0.5 MB more),
-# and neither the merge nor any order copies a whole segment.  For the numpy
-# fold, 2^16 was the fastest of 2^13..2^18 on a 0.46M-piece segment.  Blocks start at fixed indices, so
-# the bits do not depend on how the pieces were produced.  Each block folds
-# down to at most FOLD_TO sums.
-BLOCK = 1 << 16
+# buffers take ~1.3 MB (the numpy path's merge permutation ~0.26 MB more),
+# half a 2^16 block's, and neither the merge nor any order copies a whole
+# segment.  Alone, a 2^22 segment's sweep took as long at 2^15 as at 2^16
+# on a 2-vCPU VM (the kernel ~4.6 ms near 1e8 and ~4.1 ms near 1e10, numpy
+# ~12.2-12.9 ms).  Blocks start at fixed indices, so the bits do not depend
+# on how the pieces were produced.  Each block folds down to at most FOLD_TO
+# sums.
+BLOCK = 1 << 15
 FOLD_TO = 64
 
 # A run keeps ~0.4-0.5 KB per segment (its task tuple, its pending index and
 # its result dict), so 2^20 segments hold ~0.5 GB before any sweeping starts.
-# A pool adds only the futures of the few tasks it has in flight.
+# A pool adds only the futures of the few tasks it has in flight.  A default
+# segment size is never so short that a run would need more.
 MAX_SEGMENTS = 1 << 20
 
-# One segment holds its sieve arrays and the workspace's ~2.6 MB of block
+# One segment holds its sieve arrays and the workspace's ~1.3 MB of block
 # buffers (the five that both paths use), so its memory grows with its one
 # sieve call's span, which is longer than the segment by the window's width:
 # a serial 2^25 segment at X = 1e9 peaks ~30 MB above an idle process's
 # ~29 MB RSS (~0.95 B per integer; ~57 MB, ~0.9 B, at a span just under 2^26).
 # A run where one segment would sieve more integers (a large segment size,
-# delta or h) is refused rather than left to fail in numpy's allocator.
+# delta or h) is refused rather than left to fail in numpy's allocator; a
+# default segment size is shortened to keep under it where it can.
 MAX_SEGMENT_SIZE = 1 << 26
+
+# Each segment's sieve call re-sieves the window's width past its end, which
+# the next segment sieves again.  A default segment is at least OVERLAP times
+# that width, so a run re-sieves at most 1/OVERLAP of its integers.
+OVERLAP = 16
 
 # mode -> (name of its parameter, (X, param) -> (lo, hi, delta, beta)): the
 # sweep runs x over [lo, hi] with the window (x, (1+delta)x + beta].  Sum mode
@@ -118,6 +127,30 @@ def sieve_range(a: float, b: float, delta: float, beta: float) -> tuple[int, int
     return math.floor(a), math.ceil((1.0 + delta) * b + beta) + 1
 
 
+def default_segment_size(mode: str, X, param) -> int:
+    """The segment size of a run of mode over [1, X] that names none.
+
+    The smallest power of two that is at least DEFAULT_SEGMENT_SIZE (its
+    sieve mask and event arrays stay in cache), at least OVERLAP times the
+    window's width at X and at least X / MAX_SEGMENTS.  Where the first two
+    would make one segment's sieve call pass MAX_SEGMENT_SIZE, it is halved
+    toward DEFAULT_SEGMENT_SIZE until the call fits; the span check in tasks
+    still refuses a window too wide for any.
+    """
+    lo, hi, delta, beta = WINDOWS[mode][1](X, param)
+    width = delta * hi + beta
+
+    def power_of_two(v) -> int:  # the smallest one at least v
+        return 1 << (max(math.ceil(v), 1) - 1).bit_length()
+
+    size = power_of_two(max(DEFAULT_SEGMENT_SIZE, OVERLAP * width))
+    # A segment [a, b] sieves (floor(a), ceil((1+delta)b + beta) + 1]: fewer
+    # than b - a + width + 3 integers.
+    while size > DEFAULT_SEGMENT_SIZE and size + width + 3 > MAX_SEGMENT_SIZE:
+        size //= 2
+    return max(size, power_of_two((hi - lo) / MAX_SEGMENTS))
+
+
 def tasks(mode: str, X, param, ks, segment_size: int) -> list[tuple]:
     """The (a, b, delta, beta, ks) sweep_segment tasks of one run of mode over [1, X]."""
     name, window = WINDOWS[mode]
@@ -136,16 +169,19 @@ def tasks(mode: str, X, param, ks, segment_size: int) -> list[tuple]:
     return [(a, b, delta, beta, ks) for a, b in pieces]
 
 
-def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
+def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int | None,
         checkpoint: str | None, resume: bool, limit: float = math.inf) -> dict[int, float]:
     """Per-order moments of mode over [1, X], reduced in segment order.
 
-    The checkpoint digest is salted with the sweep's version and keeps X
-    and param exactly as passed, so an int X and a float X are different
-    runs; it covers the orders as a set, and the type of a sieve other than
-    the default.  Only a run with a checkpoint builds it.
+    A segment_size of None is default_segment_size's.  The checkpoint
+    digest is salted with the sweep's version and keeps X and param exactly
+    as passed, so an int X and a float X are different runs; it covers the
+    orders as a set, the segment size in use, and the type of a sieve other
+    than the default.  Only a run with a checkpoint builds it.
     """
     ks = check_ks(ks)
+    if segment_size is None:
+        segment_size = default_segment_size(mode, X, param)
     work = tasks(mode, X, param, ks, segment_size)
     sieve = MangoldtSieve() if sieve is None else sieve
     config = {"mode": mode, "ks": list(ks), "segment_size": segment_size,
@@ -162,7 +198,7 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int,
                          checkpoint, resume, digest, limit=limit)
     finally:
         # A serial run sweeps in the caller's process: do not leave it the
-        # block buffers (~2.6 MB).
+        # block buffers (~1.3 MB).
         workspace.arrays = ()
 
 
@@ -172,11 +208,11 @@ class Workspace:
     A large numpy array is a fresh mapping whose pages the operating system
     zeroes on first touch: with a fresh array per temporary, a 2^22 segment
     faults in ~9.6k pages (~38 MB).  The sweep writes its arrays into these
-    buffers through out= instead: five of BLOCK + 2 values (~2.6 MB in all) hold one
-    block of pieces, whatever the segment's size.  The compiled kernel needs
-    nothing else.  On the numpy path, once a block's pieces are built, the
-    one that held their coordinates and the merge's permutation are the
-    fold's scratch.  So later segments' blocks map no new pages; the
+    buffers through out= instead: five of BLOCK + 2 values (~1.3 MB in all)
+    hold one block of pieces, whatever the segment's size.  The compiled
+    kernel needs nothing else.  On the numpy path, once a block's pieces are
+    built, the one that held their coordinates and the merge's permutation
+    are the fold's scratch.  So later segments' blocks map no new pages; the
     sieve call's arrays are still fresh in every segment.  Only where
     values are stored changes, not how they are computed, so the bits are
     those of fresh arrays.
@@ -224,7 +260,7 @@ def window_events(a: float, b: float, delta: float, beta: float, sieve):
     # Both coordinates rise with n, so each condition selects a slice.
     l0, l1 = bisect_right(ns, a, key=float), bisect_left(ns, b, key=float)
     e0, e1 = bisect_right(ns, a, key=enter), bisect_left(ns, b, key=enter)
-    s0 = math.fsum(ws[l0:e0])  # n > a and entered at or before a
+    s0 = math.fsum(ws[l0:e0].tolist())  # n > a and entered at or before a
     return s0, ns[l0:l1], ns[e0:e1], ws[l0:l1], ws[e0:e1]
 
 
@@ -457,8 +493,8 @@ class CheckEvents:
                 np.array([1.0 / (n % 7 + 1.5) for n in ns]))
 
 
-def check_kernel(fn) -> tuple | None:
-    """The first check task whose parts from fn differ from numpy's, or None."""
+def check_kernel(fn) -> str | None:
+    """How fn's parts differ from numpy's on the check segments, or None."""
     sieve = CheckEvents()
     buffers = tuple(np.empty(CHECK_BLOCK + 2) for _ in range(5))
     for mode, X, param in CHECK_RUNS:
@@ -468,7 +504,7 @@ def check_kernel(fn) -> tuple | None:
             got = _sweep_kernel(fn, events, task, buffers, CHECK_BLOCK)
             if any(np.array(got[k]).tobytes() != np.array(p).tobytes()
                    for k, p in want.items()):
-                return task
+                return f"differs from it on the segment {task[:4]}"
     return None
 
 
@@ -478,22 +514,16 @@ def load_kernel():
     Decided once per process, with one log line that names the path in
     use: a kernel whose parts differ from the numpy path's on check_kernel's
     segments by one bit (an x87 or FMA-contracting toolchain, say) is not
-    used.
+    used, once a rebuild of a cached library differs too.
     """
     global _kernel
     if _kernel is None:
         try:
-            fn, path = kernel.load()
+            fn, path = kernel.load(check_kernel)
         except OSError as exc:
-            log.warning("sweep: numpy path; the compiled kernel did not build or load: %s", exc)
+            log.warning("sweep: numpy path; %s", exc)
             fn = False
         else:
-            task = check_kernel(fn)
-            if task:
-                log.warning("sweep: numpy path; the compiled kernel %s differs from it "
-                            "on the segment %s", path, task[:4])
-                fn = False
-            else:
-                log.info("sweep: compiled kernel %s", path)
+            log.info("sweep: compiled kernel %s", path)
         _kernel = fn
     return _kernel

@@ -16,7 +16,7 @@ from hypothesis import given, strategies as st
 from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum
 from psimoment.checkpoint import CheckpointError, CheckpointWriter, config_digest, load
 from psimoment.errors import LongRunError, NumericRangeError
-from psimoment import runner
+from psimoment import runner, sweep
 from psimoment.runner import run_tasks
 
 from oracles import ZeroMangoldt
@@ -69,16 +69,16 @@ def test_resume_past_torn_final_record(tmp_path):
 
 
 # Checkpoint headers of one small run per mode, as written at
-# __version_salt__ = 4 (a fixed window's pieces summed as constant).  They
+# __version_salt__ = 5 (2^15-piece blocks).  They
 # change only with the sweep's __version_salt__; until then such checkpoints
 # must keep resuming.
 PINNED_DIGESTS = {
     "fixed-sum": (moment_sum, (1000, 10, [2, 4]),
-                  "f5c01ceab293c2b298fd44ca6ae2f9adbe244c4d0b9030a5d64ea9ad089fa5f8"),
+                  "038c8b18c86a96a1e1fa53060efbbfcb3718c39f53f5e0f3292352b9bb56432e"),
     "fixed-integral": (moment_integral_fixed, (1000.0, 7.5, [2, 4]),
-                       "c13639c434eaa1ba2d93f864c3566045301423dac4c488b0c7838b21d7d3d9b4"),
+                       "ef7afe4c524d269b6245f56abb5659d83602b88f449b3ad21e6a6979a4dacc10"),
     "scaled-integral": (moment_integral_scaled, (1000.0, 0.05, [2, 4]),
-                        "ed714e7eb026ce1b13c592a88faf6e0ea42b5b42f909499eb3ce093618ce2404"),
+                        "ee848e8554a022abe02a1031c434135d2c167669252e5fe93b0849695ce23134"),
 }
 
 
@@ -93,6 +93,17 @@ def test_pinned_digests(tmp_path, mode):
     old.write_text(header + "\n")
     resumed = fn(*args, segment_size=256, checkpoint=str(old), resume=True)
     assert resumed == baseline
+
+
+def test_digest_records_the_default_segment_size(tmp_path):
+    # A run that names no segment size is the run with the size it resolved
+    # to, and not the run with another.
+    path = str(tmp_path / "ck.jsonl")
+    first = moment_sum(10**3, 10, [2], checkpoint=path)
+    size = sweep.default_segment_size("fixed-sum", 10**3, 10)
+    assert moment_sum(10**3, 10, [2], segment_size=size, checkpoint=path, resume=True) == first
+    with pytest.raises(CheckpointError, match="digest mismatch"):
+        moment_sum(10**3, 10, [2], segment_size=size // 2, checkpoint=path, resume=True)
 
 
 def test_digest_mismatch_refused(tmp_path):

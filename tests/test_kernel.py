@@ -2,12 +2,17 @@
 
 Full 2^22 segments of the paper's tables through both paths, part for part;
 a missing compiler and a kernel with wrong bits, each of which leaves the
-numpy path in use with one log line; and the source the loader builds from.
+numpy path in use with one log line; a cache that is not this user's alone,
+a corrupt and a stale library, each of which still ends on the kernel; and
+the source the loader builds from.
 """
 
 import logging
 import os
 import re
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -64,7 +69,7 @@ def assert_same_parts(fn, task, sieve):
     ("scaled-integral", 1e8, 2.0**-17),
 ])
 def test_full_segments_match_numpy(compiled, mode, X, param):
-    # ~0.4M events and 7 blocks, every order: each block's parts, bit for bit.
+    # ~0.4M events and 13 blocks, every order: each block's parts, bit for bit.
     assert_same_parts(compiled, full_segment(mode, X, param), MangoldtSieve())
 
 
@@ -162,16 +167,128 @@ def test_broken_kernel_falls_back_to_numpy(monkeypatch, caplog, tmp_path, old, n
 
 def test_kernel_builds_once_into_the_cache(compiled, monkeypatch, caplog, tmp_path):
     got, lines = fallback_run(monkeypatch, caplog, tmp_path)
+    library = tmp_path / "cache" / "psimoment" / kernel.library_name()
     assert sweep._kernel
     assert got == numpy_moments()
-    assert lines == [f"sweep: compiled kernel {kernel.library_path()}"]
-    assert os.listdir(tmp_path / "cache" / "psimoment") == [
-        os.path.basename(kernel.library_path())]  # no temporary file is left
+    assert lines == [f"sweep: compiled kernel {library}"]
+    assert os.listdir(library.parent) == [library.name]  # no temporary file is left
+    assert (library.parent.stat().st_mode & 0o777, library.stat().st_mode & 0o777) == (
+        0o700, 0o755)
     # A second process, or a second decision, loads what the first built.
-    before = os.stat(kernel.library_path()).st_mtime_ns
+    before = library.stat().st_mtime_ns
     monkeypatch.setattr(sweep, "_kernel", None)
     assert sweep.load_kernel()
-    assert os.stat(kernel.library_path()).st_mtime_ns == before
+    assert library.stat().st_mtime_ns == before
+
+
+def kernel_run(monkeypatch, caplog, tmp_path):
+    """fallback_run that must end on the kernel, with the temp directory in
+    tmp_path; its one log line's library path."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    (tmp_path / "tmp").mkdir(exist_ok=True)
+    got, lines = fallback_run(monkeypatch, caplog, tmp_path)
+    assert sweep._kernel
+    assert got == numpy_moments()
+    assert len(lines) == 1 and lines[0].startswith("sweep: compiled kernel "), lines
+    return Path(lines[0].removeprefix("sweep: compiled kernel "))
+
+
+def test_cache_of_another_user_is_passed_over(compiled, monkeypatch, caplog, tmp_path):
+    # Both cache directories exist, owned by this process's user, which
+    # the loader is told is someone else: it builds into a fresh private
+    # temporary directory and removes it once the library is loaded.
+    uid = os.getuid()
+    for cache in (tmp_path / "cache" / "psimoment", tmp_path / "tmp" / f"psimoment-{uid + 1}"):
+        cache.mkdir(parents=True)
+    monkeypatch.setattr(os, "getuid", lambda: uid + 1)
+    library = kernel_run(monkeypatch, caplog, tmp_path)
+    assert library.parent.parent == tmp_path / "tmp"
+    assert library.parent.name.startswith("psimoment-")
+    assert not library.parent.exists()
+    assert os.listdir(tmp_path / "cache" / "psimoment") == []
+
+
+@pytest.mark.parametrize("plant", ["writable", "symlink", "writable-library"])
+def test_cache_that_others_can_write_is_passed_over(compiled, monkeypatch, caplog,
+                                                    tmp_path, plant):
+    # A per-user cache that group and others can write, one that is a
+    # symlink, or one whose library they can write: the temp one is used.
+    cache = tmp_path / "cache" / "psimoment"
+    if plant == "symlink":
+        (tmp_path / "elsewhere").mkdir(mode=0o700)
+        (tmp_path / "cache").mkdir()
+        cache.symlink_to(tmp_path / "elsewhere")
+    else:
+        cache.mkdir(parents=True)
+        cache.chmod(0o777 if plant == "writable" else 0o700)
+    if plant == "writable-library":
+        planted = cache / kernel.library_name()
+        planted.write_bytes(b"planted")
+        planted.chmod(0o666)
+    library = kernel_run(monkeypatch, caplog, tmp_path)
+    assert library == tmp_path / "tmp" / f"psimoment-{os.getuid()}" / kernel.library_name()
+    assert library.parent.stat().st_mode & 0o777 == 0o700
+    assert sorted(os.listdir(cache)) == ([kernel.library_name()]
+                                         if plant == "writable-library" else [])
+
+
+def test_corrupt_library_is_rebuilt(compiled, monkeypatch, caplog, tmp_path):
+    # A cached library that does not load is rebuilt once, under its name.
+    cache = tmp_path / "cache" / "psimoment"
+    cache.mkdir(parents=True, mode=0o700)
+    (cache / kernel.library_name()).write_bytes(b"\x7fELF truncated")
+    library = kernel_run(monkeypatch, caplog, tmp_path)
+    assert library == cache / kernel.library_name()
+    assert os.listdir(cache) == [library.name]
+    assert library.read_bytes().startswith(b"\x7fELF") and library.stat().st_size > 1000
+
+
+def test_library_with_wrong_bits_is_rebuilt(compiled, monkeypatch, caplog, tmp_path):
+    # A cached library that loads but fails the check against numpy (built
+    # from a source with TwoSum's second error term dropped, but under the
+    # good source's name) is rebuilt once, from the good source.
+    cache = tmp_path / "cache" / "psimoment"
+    cache.mkdir(parents=True, mode=0o700)
+    cached = str(cache / kernel.library_name())
+    source = Path(kernel.SOURCE).read_text()
+    (tmp_path / "_sweep.c").write_text(source.replace(
+        "*err = (a - (s - z)) + (b - z);", "*err = a - (s - z);"))
+    with monkeypatch.context() as patch:
+        patch.setattr(kernel, "SOURCE", str(tmp_path / "_sweep.c"))
+        kernel.build(cached)
+    # Loaded here under its cached name, which the rebuild must not reuse.
+    assert sweep.check_kernel(kernel.open_checked(cached, lambda fn: None))
+    library = kernel_run(monkeypatch, caplog, tmp_path)
+    assert str(library) == cached
+    # What was published under that name passes, loaded under a name of its own.
+    os.link(cached, tmp_path / "published.so")
+    assert sweep.check_kernel(kernel.open_checked(str(tmp_path / "published.so"),
+                                                  lambda fn: None)) is None
+
+
+def test_build_removes_stale_libraries(compiled, monkeypatch, caplog, tmp_path):
+    # Libraries of another source or flags are removed once this one is
+    # built; other files are left alone.
+    cache = tmp_path / "cache" / "psimoment"
+    cache.mkdir(parents=True, mode=0o700)
+    for name in ("_sweep-00000000.so", "_sweep-00000001.so", "notes.txt"):
+        (cache / name).write_bytes(b"old")
+    library = kernel_run(monkeypatch, caplog, tmp_path)
+    assert sorted(os.listdir(cache)) == sorted([library.name, "notes.txt"])
+
+
+def test_import_loads_no_kernel(tmp_path):
+    # Importing the package builds, loads and checks nothing; the cache
+    # directory is not even made.
+    code = ("import psimoment, psimoment.cli\n"
+            "from psimoment import sweep\n"
+            "print(sweep._kernel)")
+    src = str(Path(kernel.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src,
+                                          "XDG_CACHE_HOME": str(tmp_path / "cache")})
+    assert run.stdout.split() == ["None"]
+    assert not (tmp_path / "cache").exists()
 
 
 def test_source_ships_next_to_the_module():

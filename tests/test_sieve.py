@@ -149,7 +149,7 @@ def test_events_matches_chunked_reference(data):
 @pytest.mark.parametrize("mode,param", [("scaled-integral", 1e-4),
                                         ("fixed-integral", 1e5)])
 def test_events_matches_chunked_reference_on_last_full_span(mode, param):
-    # The last full 2^22 segment of a 1e8 run: its one sieve call reaches
+    # The last full 2^21 segment of a 1e8 run: its one sieve call reaches
     # past the chunk size by the window's width.
     tasks = sweep.tasks(mode, 1e8, param, (2,), sieve_module.DEFAULT_SEGMENT_SIZE)
     a, b, delta, beta, _ = max(tasks[-2:], key=lambda t: t[1] - t[0])
@@ -164,7 +164,7 @@ def test_prime_count_matches_small_primes():
 
 
 def test_pi_and_psi_across_a_chunk_edge():
-    # The first chunk ends at 2^22, itself a prime power, so the count and
+    # The first chunk ends at 2^21, itself a prime power, so the count and
     # the sum must take it from the first chunk and nothing from the second.
     n = sieve_module.DEFAULT_SEGMENT_SIZE + 3
     count, psi = MangoldtSieve().pi_and_psi(n)

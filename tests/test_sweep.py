@@ -18,6 +18,7 @@ import psimoment
 from psimoment import (MangoldtSieve, moment_integral_fixed, moment_integral_scaled,
                        moment_sum, sweep)
 from psimoment import sieve as sieve_module
+from psimoment.sieve import DEFAULT_SEGMENT_SIZE
 from psimoment.sweep import BLOCK
 
 import oracles
@@ -89,7 +90,9 @@ def fold_inputs(n, regime, rng):
 
 
 @pytest.mark.parametrize("regime", ["wide", "cancel-tiny", "cancel", "cancel-huge"])
-@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+# Lengths about one and two blocks, and several blocks and a tail.
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
+                               2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7, 6 * BLOCK + 7])
 def test_power_sums_fold_exact(n, regime):
     # With u == 1 and k = 1 each piece's term is exactly L, or 2L halved at
     # the end on the sloped path, so power_sums returns the blocked TwoSum
@@ -172,6 +175,59 @@ def test_segment_cap(monkeypatch):
     for size in (0, math.nan, math.inf, 10**400):  # 10**400 overflows a float
         with pytest.raises(ValueError, match="segment_size"):
             sweep.segments(0.0, 10.0, size)
+
+
+@pytest.mark.parametrize("mode,X,param,log2", [
+    # The paper's windows: 2^21, the cache-sized floor.
+    ("fixed-integral", 1e8, 1e5, 21),
+    ("scaled-integral", 1e8, 1e-4, 21),
+    ("fixed-sum", 10**10, 10**5, 21),
+    ("scaled-integral", 1e10, 1e-5, 21),
+    # A 1e6-wide window at 1e11: 16 widths, so it re-sieves ~6%.
+    ("scaled-integral", 1e11, 1e-5, 24),
+    # A 1e7-wide window at 1e12: 16 widths would pass the span cap, so the
+    # size is halved until one segment's sieve call fits under 2^26.
+    ("scaled-integral", 1e12, 1e-5, 25),
+    ("fixed-integral", 1e9, 6e7, 22),
+    # Too wide for any segment: the floor, which the span check refuses.
+    ("scaled-integral", 1e9, 1.0, 21),
+])
+def test_default_segment_size(mode, X, param, log2):
+    size = sweep.default_segment_size(mode, X, param)
+    assert size == 1 << log2
+    lo, hi, delta, beta = sweep.WINDOWS[mode][1](X, param)
+    width = delta * hi + beta
+    if size > DEFAULT_SEGMENT_SIZE:
+        assert size // 2 < 16 * width
+    if 1 << 21 < size or 16 * width <= size:
+        assert size + width + 3 <= sweep.MAX_SEGMENT_SIZE
+
+
+def test_default_segment_size_keeps_under_the_segment_cap(monkeypatch):
+    # Past MAX_SEGMENTS * 2^21 the default segment widens, so the segment cap
+    # never refuses a run that names no size; a cap of 2^4 segments keeps
+    # the task lists short.
+    monkeypatch.setattr(sweep, "MAX_SEGMENTS", 1 << 4)
+    X = 1.5 * (1 << 4) * DEFAULT_SEGMENT_SIZE
+    size = sweep.default_segment_size("fixed-integral", X, 1e5)
+    assert size == 2 * DEFAULT_SEGMENT_SIZE
+    assert len(sweep.tasks("fixed-integral", X, 1e5, (2,), size)) == 12
+    with pytest.raises(ValueError, match="exceeds 16 segments"):
+        sweep.tasks("fixed-integral", X, 1e5, (2,), DEFAULT_SEGMENT_SIZE)
+    # fixed-sum runs to X + 1: exactly MAX_SEGMENTS full segments fit.
+    X = (1 << 4) * 4 * DEFAULT_SEGMENT_SIZE
+    assert sweep.default_segment_size("fixed-sum", X, 10) == 4 * DEFAULT_SEGMENT_SIZE
+    assert len(sweep.tasks("fixed-sum", X, 10, (2,), 4 * DEFAULT_SEGMENT_SIZE)) == 16
+
+
+def test_explicit_segment_size_is_used_as_given(monkeypatch):
+    sweep.load_kernel()  # its check makes tasks of its own
+    sizes = []
+    tasks = sweep.tasks
+    monkeypatch.setattr(sweep, "tasks", lambda *args: sizes.append(args[-1]) or tasks(*args))
+    moment_integral_fixed(1e4, 10.0, [2], segment_size=3000)
+    moment_integral_fixed(1e4, 10.0, [2])
+    assert sizes == [3000, DEFAULT_SEGMENT_SIZE]
 
 
 @settings(max_examples=8, deadline=None)
@@ -258,10 +314,11 @@ KS16 = tuple(range(1, 17))
 SRC = str(Path(psimoment.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
 
-# Each run's moments at k = 1..16, as hex, recorded at __version_salt__ 4.
+# Each run's moments at k = 1..16, as hex, recorded at __version_salt__ 5.
 # A change to the sweep's arithmetic that moves any bit fails here; such a
 # change bumps sweep.__version_salt__, and these values must then be
-# regenerated.
+# regenerated.  The last two runs take the default segment size, and their
+# first segment holds ~9.5 blocks of pieces (MULTI_BLOCK_RUNS).
 PINNED_RUNS = [
     (moment_integral_scaled, (1000.5, 0.37), 7, [
         "0x1.24317bd65c42dp+9", "0x1.9a87b38c63978p+15", "0x1.2cae4b4d0cd41p+18",
@@ -291,7 +348,22 @@ PINNED_RUNS = [
         "0x1.7a6e9d130925dp+89", "-0x1.837c67ac41a46p+96", "0x1.28533b19e85a2p+105",
         "-0x1.74f1d18caacdep+112", "0x1.00381ec817052p+121", "-0x1.6ec193325c3c9p+128",
         "0x1.d609c90734509p+136"]),
+    (moment_integral_scaled, (3e6, 1e-3), None, [
+        "-0x1.071856f7d2648p+17", "0x1.839d41a15b7a6p+34", "-0x1.036224f918ca1p+36",
+        "0x1.871b39d6de12ep+49", "-0x1.c102f8b9b3fd8p+51", "0x1.5c11fb3f19e74p+65",
+        "-0x1.69585865e8336p+67", "0x1.ac155c5d6f7e5p+81", "-0x1.bb79927403361p+82",
+        "0x1.413dd744b414ap+98", "0x1.5cf6a82bf27b2p+97", "0x1.12069dea3bd50p+115",
+        "0x1.8fa11caf890b1p+116", "0x1.fdb7ec9cfcd65p+131", "0x1.2413269a348f4p+134",
+        "0x1.f8110228b23b4p+148"]),
+    (moment_sum, (3 * 10**6, 1000), None, [
+        "-0x1.b4a98b1cb63edp+15", "0x1.018937956219cp+34", "-0x1.0d5a9c16da0b0p+35",
+        "0x1.1375e225819c8p+48", "-0x1.3a17b3410e0d0p+48", "0x1.f56cb941caf20p+62",
+        "0x1.3392cde13a2e0p+66", "0x1.49fcc3d242af0p+78", "0x1.79732acd7dec6p+83",
+        "0x1.220c2b518d8e4p+94", "0x1.6ad77b299fdd4p+100", "0x1.40ded07cec256p+110",
+        "0x1.4eafe50743e12p+117", "0x1.a66d8c9dd54e8p+126", "0x1.340f22995bb22p+134",
+        "0x1.3aa162b42232fp+143"]),
 ]
+MULTI_BLOCK_RUNS = [("scaled-integral", 3e6, 1e-3), ("fixed-sum", 3 * 10**6, 1000)]
 
 
 @contextmanager
@@ -307,9 +379,19 @@ def numpy_path():
 # compiler works.
 @pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)
 def test_pinned_bits(fn, args, size, want):
-    assert sweep.__version_salt__ == 4
+    assert sweep.__version_salt__ == 5
     got = fn(*args, KS16, segment_size=size)
     assert [got[k].hex() for k in KS16] == want
+
+
+@pytest.mark.parametrize("mode,X,param", MULTI_BLOCK_RUNS)
+def test_pinned_runs_sweep_several_blocks(mode, X, param):
+    # The default geometry: a 2^21 segment of over 9 blocks, then a shorter one.
+    size = sweep.default_segment_size(mode, X, param)
+    assert size == DEFAULT_SEGMENT_SIZE
+    first = sweep.tasks(mode, X, param, (2,), size)[0]
+    events = sweep.window_events(*first[:4], MangoldtSieve())
+    assert len(events[1]) + len(events[2]) > 9 * BLOCK
 
 
 @pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)

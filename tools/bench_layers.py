@@ -1,17 +1,20 @@
-"""Time the piece sweep by layer on its numpy path and on the compiled kernel.
+"""Time the piece sweep by layer: its two paths, or a parent tree against this one.
 
     python3 tools/bench_layers.py 20            # writes BENCH_20.json
-    python3 tools/bench_layers.py 20 --runs 5   # fewer rounds per path
+    python3 tools/bench_layers.py 20 --runs 5   # fewer rounds per side
+    python3 tools/bench_layers.py 21 --against ../parent   # parent against change
 
 Run it from the repository root.  Each round is a fresh process that imports
-psimoment from ./src and times one path: the numpy path (the kernel turned
-off) or the kernel.  The rounds of the two paths alternate, and the file
-holds each timing's median and interquartile range over the rounds and the
-kernel's median over the numpy path's.
+psimoment from a tree's src and times one path there.  Without --against the
+two sides are this tree's numpy path (the kernel turned off) and its kernel;
+with --against TREE they are TREE and this tree, both on --path (the kernel
+by default, which is what a run uses).  The rounds of the two sides
+alternate, and the file holds each timing's median and interquartile range
+over the rounds and the ratio of the two sides' medians.
 
-A round times, on the last full 2^22 segment below X = 1e8 and 1e10 of a
-fixed window (h = 1e5) and of a scaled one (delta = 1e-4 at 1e8, 1e-5 at
-1e10), the median of 5 calls of:
+A round times, on the last full segment of each side's default size below
+X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
+(delta = 1e-4 at 1e8, 1e-5 above), the median of 5 calls of:
 
 * sieve_s: the segment's one sieve call;
 * sweep_s: sweep_segment without the sieve (a sieve that hands back the
@@ -24,7 +27,9 @@ fixed window (h = 1e5) and of a scaled one (delta = 1e-4 at 1e8, 1e-5 at
   pieces.
 
 and, end to end at X = 1e8 on one process, each mode's moments for k = 2,
-4, 6 (one call each).
+4, 6 (one call each).  The file records each side's segment sizes; where the
+two sides' sizes differ, the ratio of a segment's timings is taken per
+integer.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEGMENTS = [("fixed-integral", 10**8, 10**5), ("scaled-integral", 10**8, 1e-4),
-            ("fixed-integral", 10**10, 10**5), ("scaled-integral", 10**10, 1e-5)]
+            ("fixed-integral", 10**10, 10**5), ("scaled-integral", 10**10, 1e-5),
+            ("fixed-integral", 10**11, 10**5), ("scaled-integral", 10**11, 1e-5)]
 PATHS = ("numpy", "kernel")
 
 
@@ -53,10 +59,10 @@ def clock(f, reps: int = 1) -> float:
     return sorted(ts)[reps // 2]
 
 
-def one_round(path: str) -> dict[str, float]:
-    """The timings of one path in this process."""
+def one_round(path: str) -> dict[str, dict]:
+    """The timings of one path in this process, and the segment sizes timed."""
     from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum, sweep
-    from psimoment.sieve import DEFAULT_SEGMENT_SIZE as SEG, MangoldtSieve
+    from psimoment.sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
 
     if path == "numpy":
         sweep._kernel = False
@@ -81,9 +87,13 @@ def one_round(path: str) -> dict[str, float]:
     sweep.fold_powers = timed_fold_powers
     body = sweep._sweep_numpy if path == "numpy" else (
         lambda *args: sweep._sweep_kernel(sweep._kernel, *args))
-    out = {}
+    # A tree from before default_segment_size ran every default run at its
+    # DEFAULT_SEGMENT_SIZE.
+    default_size = getattr(sweep, "default_segment_size", lambda *run: DEFAULT_SEGMENT_SIZE)
+    out, sizes = {}, {}
     for mode, X, p in SEGMENTS:
-        task = [t for t in sweep.tasks(mode, X, p, (2, 4, 6), SEG) if t[1] - t[0] == SEG][-1]
+        size = default_size(mode, X, p)
+        task = [t for t in sweep.tasks(mode, X, p, (2, 4, 6), size) if t[1] - t[0] == size][-1]
         sieve = MangoldtSieve()
         span = sweep.sieve_range(*task[:4])
         arrays = sieve.events(*span)  # warm: base primes built, pages touched once
@@ -91,6 +101,7 @@ def one_round(path: str) -> dict[str, float]:
         sweep.sweep_segment(ws, task)
         events = sweep.window_events(*task[:4], ws.sieve)
         key = f"{mode.split('-')[0]}@{X:.0e}"
+        sizes[key] = size
         out[key + ".sieve_s"] = clock(lambda: sieve.events(*span), 5)
         out[key + ".sweep_s"] = clock(lambda: sweep.sweep_segment(ws, task), 5)
         out[key + ".events_s"] = clock(lambda: sweep.window_events(*task[:4], ws.sieve), 5)
@@ -103,7 +114,7 @@ def one_round(path: str) -> dict[str, float]:
                     ("fixed-integral", lambda: moment_integral_fixed(1e8, 1e5, [2, 4, 6])),
                     ("scaled-integral", lambda: moment_integral_scaled(1e8, 1e-4, [2, 4, 6]))]:
         out[f"e2e.{name}@1e8_s"] = clock(f)
-    return out
+    return {"times": out, "sizes": sizes}
 
 
 def iqr(xs) -> float:
@@ -111,10 +122,20 @@ def iqr(xs) -> float:
     return q[2] - q[0]
 
 
+def describe(tree: str) -> str:
+    """The tree's commit, as git describes it."""
+    return subprocess.run(["git", "describe", "--always", "--dirty"], cwd=tree,
+                          capture_output=True, text=True).stdout.strip() or "unknown"
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("number", nargs="?", help="write BENCH_<number>.json")
-    parser.add_argument("--runs", type=int, default=11, help="rounds per path (default 11)")
+    parser.add_argument("--runs", type=int, default=11, help="rounds per side (default 11)")
+    parser.add_argument("--against", metavar="TREE",
+                        help="time TREE (a checkout of the parent commit) against this tree")
+    parser.add_argument("--path", choices=PATHS, default="kernel",
+                        help="the path both trees take with --against (default kernel)")
     parser.add_argument("--round", choices=PATHS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.round:
@@ -122,27 +143,44 @@ def main() -> None:
         return
     if not args.number or args.runs < 2:
         parser.error("give the BENCH file's number and at least 2 runs")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    rounds = {path: [] for path in PATHS}
+    # side -> (the tree whose src it imports, the path it takes)
+    if args.against:
+        sides = {"parent": (os.path.abspath(args.against), args.path),
+                 "change": (ROOT, args.path)}
+    else:
+        sides = {path: (ROOT, path) for path in PATHS}
+    rounds = {side: [] for side in sides}
     for i in range(args.runs):
-        for path in PATHS[:: 1 if i % 2 == 0 else -1]:
+        for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
+            tree, path = sides[side]
+            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
             done = subprocess.run([sys.executable, os.path.abspath(__file__), "--round", path],
                                   env=env, capture_output=True, text=True, check=True)
-            rounds[path].append(json.loads(done.stdout))
-    med = {path: {k: statistics.median(r[k] for r in rs) for k in rs[0]}
-           for path, rs in rounds.items()}
-    spread = {path: {k: iqr([r[k] for r in rs]) for k in rs[0]} for path, rs in rounds.items()}
+            rounds[side].append(json.loads(done.stdout))
+    med = {side: {k: statistics.median(r["times"][k] for r in rs) for k in rs[0]["times"]}
+           for side, rs in rounds.items()}
+    spread = {side: {k: iqr([r["times"][k] for r in rs]) for k in rs[0]["times"]}
+              for side, rs in rounds.items()}
+    sizes = {side: rs[0]["sizes"] for side, rs in rounds.items()}
+    first, second = sides
+    ratio = {}
+    for k in med[second].keys() & med[first].keys():
+        segment = k.rsplit(".", 1)[0]
+        per = sizes[first].get(segment, 1) / sizes[second].get(segment, 1)
+        ratio[k] = med[second][k] / med[first][k] * per
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                                    capture_output=True, text=True).stdout.strip()
-    commit = subprocess.run(["git", "describe", "--always", "--dirty"], cwd=ROOT,
-                            capture_output=True, text=True).stdout.strip()
+    command = f"python3 tools/bench_layers.py {args.number} --runs {args.runs}"
+    if args.against:
+        command += f" --against <parent tree> --path {args.path}"
     report = {
         "machine": f"{os.cpu_count()} vCPU, Python {sys.version.split()[0]}, numpy {numpy_version}",
-        "command": f"python3 tools/bench_layers.py {args.number} --runs {args.runs}",
-        "commit": commit, "runs_each": args.runs, "median_s": med, "iqr_s": spread,
-        "ratio_kernel_over_numpy": {k: med["kernel"][k] / med["numpy"][k]
-                                    for k in med["kernel"]},
+        "command": command, "commit": describe(ROOT), "runs_each": args.runs,
+        "median_s": med, "iqr_s": spread, "segment_size": sizes,
+        f"ratio_{second}_over_{first}": ratio,
     }
+    if args.against:
+        report["parent"] = describe(sides["parent"][0])
     with open(os.path.join(ROOT, f"BENCH_{args.number}.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
