@@ -5,9 +5,13 @@ C compiler into a per-user cache directory ($XDG_CACHE_HOME/psimoment, else
 ~/.cache/psimoment, else psimoment-<uid> in the temp directory) and loads it
 from there.  The file name carries a CRC-32 of the source, the flags, the
 compiler's name and the machine, so a changed source or flag builds a new
-library, and the build removes the directory's other libraries.  A build is
-loaded under a name of its own and then published by an atomic rename, so
-concurrent first runs never load a half-written file.
+library.  A build removes the directory's other libraries only once they are
+a day old, so trees whose sources differ can share the cache without
+rebuilding each other's.  A build is loaded under a name of its own and then
+published by an atomic rename, so concurrent first runs never load a
+half-written file; a build that does not load or pass its check is not
+published, and a marker keeps later processes from building it again for a
+day.
 
 A library runs its constructors when it loads, before any check of its
 numbers, so only this user's own files are loaded: a directory or library
@@ -27,6 +31,7 @@ import platform
 import stat
 import sys
 import tempfile
+import time
 import zlib
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
@@ -34,6 +39,9 @@ COMPILER = "cc"
 # -ffp-contract=off keeps every a*b + c at two roundings, as numpy has them;
 # -ffast-math or -march=native could change the bits.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
+
+# A library, failure marker or leftover temporary file of this age is stale.
+STALE_SECONDS = 24 * 3600
 
 _P, _N, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 # psimoment_sweep's parameters, as _sweep.c declares them.
@@ -110,29 +118,62 @@ def open_checked(path: str, check):
 _builds = itertools.count()  # this process's builds, for their fresh names
 
 
+def marker(path: str) -> str:
+    """The file that records why a build of the library at path failed."""
+    return os.path.splitext(path)[0] + ".bad"
+
+
+def failed_build(path: str) -> str | None:
+    """Why a build of the library at path failed within STALE_SECONDS, or None."""
+    try:
+        if time.time() - os.stat(marker(path)).st_mtime < STALE_SECONDS:
+            with open(marker(path)) as fh:
+                return fh.read()
+    except OSError:
+        pass
+    return None
+
+
+def remove_stale(directory: str) -> None:
+    """Remove the directory's libraries, markers and temporary files that are
+    STALE_SECONDS old: those of another source or flags, or of a crashed build."""
+    now = time.time()
+    for other in os.listdir(directory):
+        if other.startswith("_sweep-") and other.endswith((".so", ".bad", ".tmp")):
+            try:
+                if now - os.lstat(os.path.join(directory, other)).st_mtime >= STALE_SECONDS:
+                    os.unlink(os.path.join(directory, other))
+            except OSError:
+                pass
+
+
 def build_checked(directory: str, name: str, check):
     """Build the library into directory, load and check it, then publish it as name.
 
     The build is loaded under a fresh name, which this process cannot have
     loaded before (the dynamic loader would hand back that library), and
-    renamed to name only once it has passed.  Then the directory's other
-    libraries are removed.
+    renamed to name only once it has passed.  A build that compiles but
+    does not load or pass writes the reason to its marker instead.  Then
+    the directory's stale files are removed.
     """
     path = os.path.join(directory, name)
     fresh = f"{path}.{os.getpid()}-{next(_builds)}.tmp"
     try:
         build(fresh)
-        fn = open_checked(fresh, check)
+        try:
+            fn = open_checked(fresh, check)
+        except OSError as exc:
+            reason = str(exc).replace(fresh, path)
+            with open(marker(path), "w") as fh:
+                fh.write(reason)
+            raise OSError(reason) from None
         os.replace(fresh, path)
+        if os.path.lexists(marker(path)):
+            os.unlink(marker(path))
     finally:
         if os.path.lexists(fresh):
             os.unlink(fresh)
-    for other in os.listdir(directory):
-        if other != name and other.startswith("_sweep-") and other.endswith(".so"):
-            try:
-                os.unlink(os.path.join(directory, other))
-            except OSError:
-                pass
+        remove_stale(directory)
     return fn, path
 
 
@@ -142,7 +183,8 @@ def load(check=lambda fn: None):
     check(fn) returns what is wrong with a loaded kernel, or None.  A cached
     library that does not load or that check faults is rebuilt once; a
     missing one is built.  Raises OSError, whose message says why, when no
-    build loads and passes.
+    build loads and passes, and without building when a build failed to
+    load or pass within the last day.
     """
     if not hasattr(os, "getuid"):
         raise OSError("the compiled kernel is loaded only where files have owners")
@@ -152,6 +194,10 @@ def load(check=lambda fn: None):
         with tempfile.TemporaryDirectory(prefix="psimoment-") as directory:
             return build_checked(directory, name, check)
     path = os.path.join(directory, name)
+    reason = failed_build(path)
+    if reason:
+        raise OSError(f"{reason} (a build within the last day; remove {marker(path)} "
+                      "to build again)")
     if os.path.exists(path):
         try:
             return open_checked(path, check), path

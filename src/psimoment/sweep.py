@@ -135,13 +135,15 @@ def default_segment_size(mode: str, X, param) -> int:
     window's width at X and at least X / MAX_SEGMENTS.  Where the first two
     would make one segment's sieve call pass MAX_SEGMENT_SIZE, it is halved
     toward DEFAULT_SEGMENT_SIZE until the call fits; the span check in tasks
-    still refuses a window too wide for any.
+    still refuses a window too wide for any.  No term passes
+    MAX_SEGMENT_SIZE, so a huge finite X or width (whose width may be inf)
+    gives a size that tasks refuses with a ValueError.
     """
     lo, hi, delta, beta = WINDOWS[mode][1](X, param)
     width = delta * hi + beta
 
-    def power_of_two(v) -> int:  # the smallest one at least v
-        return 1 << (max(math.ceil(v), 1) - 1).bit_length()
+    def power_of_two(v) -> int:  # the smallest one at least min(v, MAX_SEGMENT_SIZE)
+        return 1 << (max(math.ceil(min(v, MAX_SEGMENT_SIZE)), 1) - 1).bit_length()
 
     size = power_of_two(max(DEFAULT_SEGMENT_SIZE, OVERLAP * width))
     # A segment [a, b] sieves (floor(a), ceil((1+delta)b + beta) + 1]: fewer

@@ -111,3 +111,15 @@ def test_int_past_float_range_is_a_value_error(call):
     # Not the OverflowError of converting it to a float.
     with pytest.raises(ValueError, match="must be finite, got an int of 1329 bits"):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: psimoment.moment_sum(10**300, 10**300, [2]),
+    lambda: psimoment.moment_integral_fixed(1.5e308, 1.5e308, [2]),
+    lambda: psimoment.moment_integral_scaled(1e308, 1.0, [2]),
+], ids=["moment_sum", "moment_integral_fixed", "moment_integral_scaled"])
+def test_huge_finite_run_is_a_value_error(call):
+    # Finite, but the window's width at X is inf as a float: the default
+    # segment size is capped, not an OverflowError, and the run is refused.
+    with pytest.raises(ValueError, match="segment_size 67108864 exceeds 1048576 segments"):
+        call()

@@ -113,6 +113,11 @@ def test_readme_cli_examples_parse():
         cli.build_parser().parse_args(words[1:])
 
 
+def test_huge_finite_run_exits_2(capsys):
+    code, out, err = run_cli(["scaled", "--x", "1e308", "--delta", "1"], capsys)
+    assert code == 2 and err.startswith("error: ") and "exceeds 1048576 segments" in err
+
+
 def test_predict_missing_param(capsys):
     code, out, err = run_cli(["predict", "--formula", "thm-ii", "--x", "1e8"], capsys)
     assert code == 2

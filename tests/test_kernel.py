@@ -2,9 +2,10 @@
 
 Full 2^22 segments of the paper's tables through both paths, part for part;
 a missing compiler and a kernel with wrong bits, each of which leaves the
-numpy path in use with one log line; a cache that is not this user's alone,
-a corrupt and a stale library, each of which still ends on the kernel; and
-the source the loader builds from.
+numpy path in use with one log line, and a failed build that later
+processes do not repeat; a cache that is not this user's alone, a corrupt
+and a stale library, each of which still ends on the kernel; two sources
+that share a cache; and the source the loader builds from.
 """
 
 import logging
@@ -13,6 +14,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -267,14 +269,76 @@ def test_library_with_wrong_bits_is_rebuilt(compiled, monkeypatch, caplog, tmp_p
 
 
 def test_build_removes_stale_libraries(compiled, monkeypatch, caplog, tmp_path):
-    # Libraries of another source or flags are removed once this one is
-    # built; other files are left alone.
+    # Libraries, markers and temporary files of another source or flags are
+    # removed once this one is built if they are a day old; younger ones,
+    # which another tree sharing the cache may use, and other files are
+    # left alone.
     cache = tmp_path / "cache" / "psimoment"
     cache.mkdir(parents=True, mode=0o700)
-    for name in ("_sweep-00000000.so", "_sweep-00000001.so", "notes.txt"):
+    day_old = time.time() - kernel.STALE_SECONDS
+    for name in ("_sweep-00000000.so", "_sweep-00000001.bad", "_sweep-00000002.so.7-0.tmp",
+                 "_sweep-00000003.so", "notes.txt"):
         (cache / name).write_bytes(b"old")
+        if name != "_sweep-00000003.so":
+            os.utime(cache / name, (day_old, day_old))
     library = kernel_run(monkeypatch, caplog, tmp_path)
-    assert sorted(os.listdir(cache)) == sorted([library.name, "notes.txt"])
+    assert sorted(os.listdir(cache)) == sorted(
+        [library.name, "_sweep-00000003.so", "notes.txt"])
+
+
+def counted_builds(monkeypatch):
+    """The libraries kernel.build makes from now on."""
+    built = []
+    build = kernel.build
+    monkeypatch.setattr(kernel, "build", lambda out: built.append(out) or build(out))
+    return built
+
+
+def test_sources_that_alternate_build_once_each(compiled, monkeypatch, tmp_path):
+    # Two trees whose sources differ share one cache: each source is built
+    # once, and loading them in turn afterwards builds nothing.
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    source = Path(kernel.SOURCE).read_text()
+    sources = [tmp_path / "a" / "_sweep.c", tmp_path / "b" / "_sweep.c"]
+    for i, path in enumerate(sources):
+        path.parent.mkdir()
+        path.write_text(source + f"/* tree {i} */\n")
+    built = counted_builds(monkeypatch)
+    paths = []
+    for path in sources * 2:
+        monkeypatch.setattr(kernel, "SOURCE", str(path))
+        paths.append(kernel.load(sweep.check_kernel)[1])
+    assert len(built) == 2 and paths[:2] == paths[2:] and paths[0] != paths[1]
+    assert sorted(os.listdir(tmp_path / "cache" / "psimoment")) == sorted(
+        os.path.basename(p) for p in paths[:2])
+
+
+def test_failed_build_is_not_repeated_for_a_day(compiled, monkeypatch, caplog, tmp_path):
+    # A build that fails its check is not published but leaves its reason:
+    # a later decision logs that reason and takes the numpy path without
+    # running the compiler, until the marker is a day old.
+    source = Path(kernel.SOURCE).read_text()
+    (tmp_path / "_sweep.c").write_text(source.replace(
+        "*err = (a - (s - z)) + (b - z);", "*err = a - (s - z);"))
+    monkeypatch.setattr(kernel, "SOURCE", str(tmp_path / "_sweep.c"))
+    built = counted_builds(monkeypatch)
+    first = fallback_run(monkeypatch, caplog, tmp_path)[1]
+    assert len(built) == 1
+    cache = tmp_path / "cache" / "psimoment"
+    bad = cache / kernel.library_name().replace(".so", ".bad")
+    assert os.listdir(cache) == [bad.name]
+    assert re.match(r"sweep: numpy path; the compiled kernel \S+ differs", first[0]), first
+    assert str(cache / kernel.library_name()) in first[0]
+    caplog.clear()
+    got, second = fallback_run(monkeypatch, caplog, tmp_path)
+    assert sweep._kernel is False and len(built) == 1
+    assert got == numpy_moments()
+    assert second == [first[0] + f" (a build within the last day; remove {bad} to build again)"]
+    day_old = time.time() - kernel.STALE_SECONDS
+    os.utime(bad, (day_old, day_old))
+    caplog.clear()
+    assert fallback_run(monkeypatch, caplog, tmp_path)[1] == first
+    assert len(built) == 2 and os.listdir(cache) == [bad.name]
 
 
 def test_import_loads_no_kernel(tmp_path):

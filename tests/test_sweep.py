@@ -203,6 +203,19 @@ def test_default_segment_size(mode, X, param, log2):
         assert size + width + 3 <= sweep.MAX_SEGMENT_SIZE
 
 
+@pytest.mark.parametrize("mode,X,param", [
+    ("scaled-integral", 1e308, 1.0),  # (1+delta)X is inf
+    ("fixed-integral", 1.5e308, 1.5e308),
+    ("fixed-sum", 10**300, 10**300),
+])
+def test_default_segment_size_of_a_huge_run_is_the_span_cap(mode, X, param):
+    # Every term is capped before it is rounded: no OverflowError, and the
+    # segment count check refuses the run.
+    assert sweep.default_segment_size(mode, X, param) == sweep.MAX_SEGMENT_SIZE
+    with pytest.raises(ValueError, match="exceeds 1048576 segments"):
+        sweep.tasks(mode, X, param, (2,), sweep.MAX_SEGMENT_SIZE)
+
+
 def test_default_segment_size_keeps_under_the_segment_cap(monkeypatch):
     # Past MAX_SEGMENTS * 2^21 the default segment widens, so the segment cap
     # never refuses a run that names no size; a cap of 2^4 segments keeps

@@ -7,10 +7,10 @@
 Run it from the repository root.  Each round is a fresh process that imports
 psimoment from a tree's src and times one path there.  Without --against the
 two sides are this tree's numpy path (the kernel turned off) and its kernel;
-with --against TREE they are TREE and this tree, both on --path (the kernel
-by default, which is what a run uses).  The rounds of the two sides
-alternate, and the file holds each timing's median and interquartile range
-over the rounds and the ratio of the two sides' medians.
+with --against TREE they are TREE and this tree, both on the kernel, which
+is what a run uses.  The rounds of the two sides alternate, and the file
+holds each timing's median and interquartile range over the rounds and the
+ratio of the two sides' medians.
 
 A round times, on the last full segment of each side's default size below
 X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
@@ -26,10 +26,16 @@ X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
   and TwoSum folds; the rest of body_s is the merge, the cumsum and the
   pieces.
 
-and, end to end at X = 1e8 on one process, each mode's moments for k = 2,
-4, 6 (one call each).  The file records each side's segment sizes; where the
-two sides' sizes differ, the ratio of a segment's timings is taken per
-integer.
+and, on one process, once each:
+
+* range.<mode>@<X>.2^<n>_s: the segments of size 2^n that cover the last
+  2^26 integers below X = 1e11 and 1e12 of the scaled window (delta =
+  1e-5), swept one after another as a run sweeps them, sieve included:
+  2^21, 2^22 and the size default_segment_size picks there (2^24, 2^25);
+* e2e.<mode>@1e8_s: each mode's moments at X = 1e8 for k = 2, 4, 6.
+
+The file records each side's segment sizes; where the two sides' sizes
+differ, the ratio of a segment's timings is taken per integer.
 """
 
 from __future__ import annotations
@@ -47,6 +53,11 @@ SEGMENTS = [("fixed-integral", 10**8, 10**5), ("scaled-integral", 10**8, 1e-4),
             ("fixed-integral", 10**10, 10**5), ("scaled-integral", 10**10, 1e-5),
             ("fixed-integral", 10**11, 10**5), ("scaled-integral", 10**11, 1e-5)]
 PATHS = ("numpy", "kernel")
+# (mode, X, param, the log2 segment sizes whose sweeps of the last RANGE
+# integers below X are timed)
+RANGES = [("scaled-integral", 10**11, 1e-5, (21, 22, 24)),
+          ("scaled-integral", 10**12, 1e-5, (21, 22, 25))]
+RANGE = 1 << 26
 
 
 def clock(f, reps: int = 1) -> float:
@@ -110,6 +121,15 @@ def one_round(path: str) -> dict[str, dict]:
         if path == "numpy":
             out[key + ".fold_s"] = folding[0] / 5
     sweep.fold_powers = fold_powers
+    for mode, X, p, log2s in RANGES:
+        delta, beta = sweep.WINDOWS[mode][1](X, p)[2:]
+        for n in log2s:
+            ws = sweep.Workspace(MangoldtSieve())
+            sweep.sweep_segment(ws, (X / 2, X / 2 + 1000, delta, beta, (2, 4, 6)))  # warm
+            run = [(float(a), float(a + (1 << n)), delta, beta, (2, 4, 6))
+                   for a in range(X - RANGE, X, 1 << n)]
+            out[f"range.{mode.split('-')[0]}@{X:.0e}.2^{n}_s"] = clock(
+                lambda: [sweep.sweep_segment(ws, task) for task in run])
     for name, f in [("fixed-sum", lambda: moment_sum(10**8, 10**5, [2, 4, 6])),
                     ("fixed-integral", lambda: moment_integral_fixed(1e8, 1e5, [2, 4, 6])),
                     ("scaled-integral", lambda: moment_integral_scaled(1e8, 1e-4, [2, 4, 6]))]:
@@ -134,8 +154,6 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=11, help="rounds per side (default 11)")
     parser.add_argument("--against", metavar="TREE",
                         help="time TREE (a checkout of the parent commit) against this tree")
-    parser.add_argument("--path", choices=PATHS, default="kernel",
-                        help="the path both trees take with --against (default kernel)")
     parser.add_argument("--round", choices=PATHS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.round:
@@ -145,8 +163,8 @@ def main() -> None:
         parser.error("give the BENCH file's number and at least 2 runs")
     # side -> (the tree whose src it imports, the path it takes)
     if args.against:
-        sides = {"parent": (os.path.abspath(args.against), args.path),
-                 "change": (ROOT, args.path)}
+        sides = {"parent": (os.path.abspath(args.against), "kernel"),
+                 "change": (ROOT, "kernel")}
     else:
         sides = {path: (ROOT, path) for path in PATHS}
     rounds = {side: [] for side in sides}
@@ -172,7 +190,7 @@ def main() -> None:
                                    capture_output=True, text=True).stdout.strip()
     command = f"python3 tools/bench_layers.py {args.number} --runs {args.runs}"
     if args.against:
-        command += f" --against <parent tree> --path {args.path}"
+        command += " --against <parent tree>"
     report = {
         "machine": f"{os.cpu_count()} vCPU, Python {sys.version.split()[0]}, numpy {numpy_version}",
         "command": command, "commit": describe(ROOT), "runs_each": args.runs,
