@@ -27,11 +27,20 @@ log = logging.getLogger(__name__)
 
 
 def config_digest(payload: dict[str, Any]) -> str:
-    """Stable digest of a run configuration."""
-    import hashlib  # loads OpenSSL (~3.5 MB RSS): only a checkpointed run pays for it
+    """Stable digest of a run configuration: SHA-256 of its canonical JSON."""
+    # The interpreter's own SHA-256, as CPython's random takes its SHA-512:
+    # hashlib would load OpenSSL (~3.5 MB RSS) for this one short hash.  The
+    # hex is hashlib's, so every checkpoint resumes whichever module made it.
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        try:
+            from _sha2 import sha256  # Python 3.12+
+        except ImportError:
+            from hashlib import sha256  # neither built in
 
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode()).hexdigest()
+    return sha256(canon.encode()).hexdigest()
 
 
 def load(path: str, digest: str) -> dict[int, dict[int, float]]:
@@ -75,12 +84,11 @@ def load(path: str, digest: str) -> dict[int, dict[int, float]]:
 
 
 class CheckpointWriter:
-    """Appends segment records; writes the header when creating a new file."""
+    """Appends segment records; writes the header into a new or empty file."""
 
     def __init__(self, path: str, digest: str, fresh: bool):
-        mode = "w" if fresh or not os.path.exists(path) else "a"
-        self._fh = open(path, mode)
-        if mode == "w":
+        self._fh = open(path, "w" if fresh else "a")
+        if self._fh.tell() == 0:  # "a" opens at the end of what is there
             self._write(json.dumps({"version": CHECKPOINT_VERSION, "digest": digest}))
 
     def append(self, segment: int, values: dict[int, float]) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 import signal
 import time
 from concurrent.futures import FIRST_COMPLETED, wait  # loads only concurrent.futures._base
@@ -54,6 +55,14 @@ def _call_worker(task):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def _recorded_nothing(path: str) -> bool:
+    """Whether the checkpoint at path is missing or has 0 bytes."""
+    try:
+        return os.path.getsize(path) == 0
+    except FileNotFoundError:
+        return True
+
+
 def run_tasks(
     worker: Worker,
     tasks: Sequence[Any],
@@ -67,12 +76,19 @@ def run_tasks(
     """Run worker over tasks; return each k's partials summed by math.fsum.
 
     A run projected past limit seconds hands out no further task, records
-    the ones it has handed out and stops with LongRunError.
+    the ones it has handed out and stops with LongRunError.  A resume from a
+    missing or 0-byte checkpoint is a run with nothing recorded; a non-empty
+    file without a valid header is refused by load.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
     done: dict[int, dict[int, float]] = {}
-    if checkpoint_path and resume:
+    if checkpoint_path and resume and _recorded_nothing(checkpoint_path):
+        # A run stopped before its header reached the disk recorded nothing;
+        # the writer starts the file.
+        log.info("%s: missing or empty, nothing to resume; starting at segment 0",
+                 checkpoint_path)
+    elif checkpoint_path and resume:
         done = load(checkpoint_path, digest)
         extra = set(done) - set(range(len(tasks)))
         if extra:

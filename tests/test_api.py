@@ -70,17 +70,22 @@ def test_src_names_have_src_readers():
     assert not unread, f"src names read by nothing in src: {unread}"
 
 
-# Run in a fresh interpreter: a serial run without a checkpoint, then one with
-# the checkpoint path given as argv[1].  Each prints which of the modules that
-# only a checkpoint (OpenSSL's hashlib) or a pool needs are loaded.
+# Run in a fresh interpreter: a serial run without a checkpoint, one with the
+# checkpoint path given as argv[1], then a pooled one with argv[2].  Each
+# prints which of hashlib (whose _hashlib maps OpenSSL, ~3.5 MB RSS) and the
+# modules only a pool needs are loaded: a checkpoint's digest takes the
+# interpreter's own SHA-256.
 FOOTPRINT = """
 import sys
 import psimoment, psimoment.cli
-LAZY = ("_hashlib", "concurrent.futures.process", "multiprocessing")
+LAZY = ("hashlib", "_hashlib", "concurrent.futures.process", "multiprocessing")
 psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256)
 print(*[name for name in LAZY if name in sys.modules])
 psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256,
                                 checkpoint=sys.argv[1])
+print(*[name for name in LAZY if name in sys.modules])
+psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256,
+                                checkpoint=sys.argv[2], threads=2)
 print(*[name for name in LAZY if name in sys.modules])
 """
 
@@ -89,10 +94,12 @@ def test_serial_run_loads_no_hashlib_or_pool(tmp_path):
     src = str(SRC.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, str(tmp_path / "ck.jsonl")],
+        [sys.executable, "-c", FOOTPRINT, str(tmp_path / "ck.jsonl"),
+         str(tmp_path / "pooled.jsonl")],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["", "_hashlib", ""]
+    assert proc.stdout.split("\n") == [
+        "", "", "concurrent.futures.process multiprocessing", ""]
 
 
 HUGE = 10**400  # an int past the float range

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import signal
 import subprocess
 import sys
 import time
+import types
 from concurrent.futures import Future, wait
 from pathlib import Path
 
@@ -93,6 +95,44 @@ def test_pinned_digests(tmp_path, mode):
     old.write_text(header + "\n")
     resumed = fn(*args, segment_size=256, checkpoint=str(old), resume=True)
     assert resumed == baseline
+
+
+def _recording_sha256(calls, sha256=hashlib.sha256):
+    """hashlib's sha256, noting each call in calls."""
+    return lambda data: calls.append(data) or sha256(data)
+
+
+def _header_digest(tmp_path, mode):
+    """The digest a fresh checkpointed run of PINNED_DIGESTS[mode] writes."""
+    fn, args, _ = PINNED_DIGESTS[mode]
+    path = tmp_path / "ck.jsonl"
+    fn(*args, segment_size=256, checkpoint=str(path))
+    return json.loads(path.read_text().splitlines()[0])["digest"]
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
+def test_digest_falls_back_to_hashlib(tmp_path, monkeypatch, mode):
+    # An interpreter built without its own SHA-256 modules takes hashlib's,
+    # and with it the same hex.
+    calls = []
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setattr(hashlib, "sha256", _recording_sha256(calls))
+    assert _header_digest(tmp_path, mode) == PINNED_DIGESTS[mode][2]
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED_DIGESTS))
+def test_digest_from_sha2(tmp_path, monkeypatch, mode):
+    # Python 3.12 merged _sha256 into _sha2; a stand-in runs that branch on
+    # any interpreter.
+    calls = []
+    sha2 = types.ModuleType("_sha2")
+    sha2.sha256 = _recording_sha256(calls)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    monkeypatch.setitem(sys.modules, "_sha2", sha2)
+    assert _header_digest(tmp_path, mode) == PINNED_DIGESTS[mode][2]
+    assert len(calls) == 1
 
 
 def test_digest_records_the_default_segment_size(tmp_path):
@@ -192,6 +232,36 @@ def test_runner_reduction_exact_on_resume(tmp_path):
     got = run_tasks(worker, CANCELLING, [2], checkpoint_path=path, resume=True)
     assert got == {2: 1.0}
     assert seen == CANCELLING[1:]  # segment 0 came from the checkpoint
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("empty", [False, True], ids=["missing", "0-byte"])
+def test_runner_resume_from_nothing_recorded(tmp_path, caplog, empty, threads):
+    # A run interrupted before its header reached the disk recorded nothing:
+    # resuming it is a fresh run, which writes the header and every record.
+    path = tmp_path / "ck.jsonl"
+    if empty:
+        path.write_bytes(b"")
+    with caplog.at_level(logging.INFO, logger=runner.__name__):
+        got = run_tasks(_value_worker, CANCELLING, [2], threads=threads,
+                        checkpoint_path=str(path), resume=True, digest="d")
+    assert got == {2: 1.0}
+    assert path.read_text().splitlines()[0] == json.dumps({"version": 1, "digest": "d"})
+    assert sorted(load(str(path), "d")) == [0, 1, 2]
+    assert f"{path}: missing or empty, nothing to resume; starting at segment 0" \
+        in caplog.messages
+
+
+@pytest.mark.parametrize("text", ["not a checkpoint\n", '{"version": 1, "dig'],
+                         ids=["other-file", "torn-header"])
+def test_runner_resume_refuses_a_file_without_a_header(tmp_path, text):
+    # A mistyped path to some other file is refused and left as it is.
+    path = tmp_path / "notes.txt"
+    path.write_text(text)
+    with pytest.raises(CheckpointError):
+        run_tasks(_value_worker, CANCELLING, [2], checkpoint_path=str(path),
+                  resume=True, digest="d")
+    assert path.read_text() == text
 
 
 @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=200))

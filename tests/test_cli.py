@@ -335,6 +335,17 @@ def test_ctrl_c_exits_130(checkpoint, monkeypatch, tmp_path, capsys):
     assert out == ""
     assert err.splitlines() == [f"interrupted; re-run with --resume to continue from {ck}"
                                 if checkpoint else "interrupted"]
+    if checkpoint:
+        # The run stopped before its checkpoint existed; the advice still
+        # holds, and gives the bits of a fresh run.
+        monkeypatch.undo()
+        assert not ck.exists()
+        code, resumed, err = run_cli(args + ["--checkpoint", str(ck), "--resume"], capsys)
+        assert code == 0, err
+        code, fresh, err = run_cli(args, capsys)
+        assert code == 0, err
+        assert strip_wall(resumed) == strip_wall(fresh)
+        assert len(ck.read_text().splitlines()) == 2  # the header and the one segment
 
 
 def test_usage_error_exit_code():
