@@ -26,19 +26,25 @@ CHECKPOINT_VERSION = 1
 log = logging.getLogger(__name__)
 
 
-def config_digest(payload: dict[str, Any]) -> str:
-    """Stable digest of a run configuration: SHA-256 of its canonical JSON."""
-    # The interpreter's own SHA-256, as CPython's random takes its SHA-512:
-    # hashlib would load OpenSSL (~3.5 MB RSS) for this one short hash.  The
-    # hex is hashlib's, so every checkpoint resumes whichever module made it.
+def sha256(data: bytes = b""):
+    """A SHA-256 hash object of data, from the interpreter's own module.
+
+    As CPython's random takes its SHA-512: hashlib would load OpenSSL (~3.5
+    MB RSS) for a few short hashes.  The hex is hashlib's, so every digest
+    matches whichever module made it.
+    """
     try:
-        from _sha256 import sha256  # Python 3.10-3.11
+        from _sha256 import sha256 as new  # Python 3.10-3.11
     except ImportError:
         try:
-            from _sha2 import sha256  # Python 3.12+
+            from _sha2 import sha256 as new  # Python 3.12+
         except ImportError:
-            from hashlib import sha256  # neither built in
+            from hashlib import sha256 as new  # neither built in
+    return new(data)
 
+
+def config_digest(payload: dict[str, Any]) -> str:
+    """Stable digest of a run configuration: SHA-256 of its canonical JSON."""
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return sha256(canon.encode()).hexdigest()
 

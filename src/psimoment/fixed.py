@@ -14,6 +14,8 @@ over [lo+1, hi+1].
 
 from __future__ import annotations
 
+import operator
+
 from . import sweep
 
 
@@ -29,8 +31,10 @@ def moment_sum(
     resume: bool = False,
 ) -> dict[int, float]:
     """Discrete moment sum over anchors n = 1..X for each order in ks."""
-    if not (isinstance(X, int) and isinstance(h, int)):
-        raise ValueError("sum mode requires integer X and h")
+    try:
+        X, h = operator.index(X), operator.index(h)  # numpy's integers too
+    except TypeError:
+        raise ValueError("sum mode requires integer X and h") from None
     sweep.check_finite(X=X, h=h)
     if not 1 <= h <= X:
         raise ValueError(f"need 1 <= h <= X, got h={h}, X={X}")

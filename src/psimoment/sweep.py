@@ -19,8 +19,10 @@ same bits for any worker count.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import operator
 import sys
 from bisect import bisect_left, bisect_right
 from functools import partial
@@ -28,25 +30,25 @@ from functools import partial
 import numpy as np
 
 from . import kernel
-from .checkpoint import config_digest
+from .checkpoint import config_digest, sha256
 from .runner import run_tasks
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
 
-__version_salt__ = 5  # bump to invalidate old checkpoints on algorithm change
+__version_salt__ = 6  # bump to invalidate old checkpoints on algorithm change
 
 log = logging.getLogger(__name__)
 
 MAX_ORDER = 16
 
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
-# buffers take ~1.3 MB (the numpy path's merge permutation ~0.26 MB more),
-# half a 2^16 block's, and neither the merge nor any order copies a whole
-# segment.  Alone, a 2^22 segment's sweep took as long at 2^15 as at 2^16
-# on a 2-vCPU VM (the kernel ~4.6 ms near 1e8 and ~4.1 ms near 1e10, numpy
-# ~12.2-12.9 ms).  Blocks start at fixed indices, so the bits do not depend
-# on how the pieces were produced.  Each block folds down to at most FOLD_TO
-# sums.
-BLOCK = 1 << 15
+# buffers take ~0.66 MB (the numpy path's merge permutation ~0.13 MB more),
+# half a 2^15 block's, and neither the merge nor any order copies a whole
+# segment.  Alone, a 2^21 segment's kernel sweep took as long at 2^14 as at
+# 2^15 on a 2-vCPU VM (~1.9-2.6 ms near 1e8 and 1e10, median of 31); the
+# numpy path, the fallback, took ~5-15% longer (~5.5-8 ms).  Blocks start at
+# fixed indices, so the bits do not depend on how the pieces were produced.
+# Each block folds down to at most FOLD_TO sums.
+BLOCK = 1 << 14
 FOLD_TO = 64
 
 # A run keeps ~0.4-0.5 KB per segment (its task tuple, its pending index and
@@ -55,7 +57,7 @@ FOLD_TO = 64
 # segment size is never so short that a run would need more.
 MAX_SEGMENTS = 1 << 20
 
-# One segment holds its sieve arrays and the workspace's ~1.3 MB of block
+# One segment holds its sieve arrays and the workspace's ~0.66 MB of block
 # buffers (the five that both paths use), so its memory grows with its one
 # sieve call's span, which is longer than the segment by the window's width:
 # a serial 2^25 segment at X = 1e9 peaks ~30 MB above an idle process's
@@ -80,16 +82,25 @@ WINDOWS = {
 }
 
 
+def as_int(value):
+    """An integer value, numpy's too, as a Python int; any other as given."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        return value
+
+
 def check_ks(ks) -> tuple[int, ...]:
-    """The moment orders ks, sorted and each once."""
+    """The moment orders ks as Python ints, sorted and each once."""
     ks = tuple(ks)
     if not ks:
         raise ValueError("need at least one moment order")
-    for k in ks:
-        if not isinstance(k, int) or not 1 <= k <= MAX_ORDER:
+    orders = tuple(map(as_int, ks))
+    for k, order in zip(ks, orders):
+        if not isinstance(order, int) or not 1 <= order <= MAX_ORDER:
             raise ValueError(
                 f"moment orders must be integers in [1, {MAX_ORDER}], got {k!r}")
-    return tuple(sorted(set(ks)))
+    return tuple(sorted(set(orders)))
 
 
 def check_finite(**values: float) -> None:
@@ -175,15 +186,18 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int | None,
         checkpoint: str | None, resume: bool, limit: float = math.inf) -> dict[int, float]:
     """Per-order moments of mode over [1, X], reduced in segment order.
 
-    A segment_size of None is default_segment_size's.  The checkpoint
-    digest is salted with the sweep's version and keeps X and param exactly
-    as passed, so an int X and a float X are different runs; it covers the
-    orders as a set, the segment size in use, and the type of a sieve other
-    than the default.  Only a run with a checkpoint builds it.
+    X, param and segment_size are taken through as_int, so a numpy integer
+    is the run of the Python int.  A segment_size of None is
+    default_segment_size's.  The checkpoint digest is salted with the
+    sweep's version and keeps X and param otherwise as passed, so an int X
+    and a float X are different runs; it covers the orders as a set, the
+    segment size in use, and the type of a sieve other than the default.
+    Only a run with a checkpoint builds it.
     """
     ks = check_ks(ks)
-    if segment_size is None:
-        segment_size = default_segment_size(mode, X, param)
+    X, param = as_int(X), as_int(param)
+    segment_size = (default_segment_size(mode, X, param) if segment_size is None
+                    else as_int(segment_size))
     work = tasks(mode, X, param, ks, segment_size)
     sieve = MangoldtSieve() if sieve is None else sieve
     config = {"mode": mode, "ks": list(ks), "segment_size": segment_size,
@@ -200,7 +214,7 @@ def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int | None,
                          checkpoint, resume, digest, limit=limit)
     finally:
         # A serial run sweeps in the caller's process: do not leave it the
-        # block buffers (~1.3 MB).
+        # block buffers (~0.66 MB).
         workspace.arrays = ()
 
 
@@ -210,7 +224,7 @@ class Workspace:
     A large numpy array is a fresh mapping whose pages the operating system
     zeroes on first touch: with a fresh array per temporary, a 2^22 segment
     faults in ~9.6k pages (~38 MB).  The sweep writes its arrays into these
-    buffers through out= instead: five of BLOCK + 2 values (~1.3 MB in all)
+    buffers through out= instead: five of BLOCK + 2 values (~0.66 MB in all)
     hold one block of pieces, whatever the segment's size.  The compiled
     kernel needs nothing else.  On the numpy path, once a block's pieces are
     built, the one that held their coordinates and the merge's permutation
@@ -262,7 +276,11 @@ def window_events(a: float, b: float, delta: float, beta: float, sieve):
     # Both coordinates rise with n, so each condition selects a slice.
     l0, l1 = bisect_right(ns, a, key=float), bisect_left(ns, b, key=float)
     e0, e1 = bisect_right(ns, a, key=enter), bisect_left(ns, b, key=enter)
-    s0 = math.fsum(ws[l0:e0].tolist())  # n > a and entered at or before a
+    # n > a and entered at or before a.  fsum is exact over any iterable, so
+    # chunks of the window's weights give the bits of one list of them all.
+    inside = ws[l0:e0]
+    s0 = math.fsum(itertools.chain.from_iterable(
+        inside[i:i + 4096].tolist() for i in range(0, len(inside), 4096)))
     return s0, ns[l0:l1], ns[e0:e1], ws[l0:l1], ws[e0:e1]
 
 
@@ -478,6 +496,16 @@ KERNEL_DTYPES = (np.int64, np.int64, np.float64, np.float64)
 # carry errors.
 CHECK_RUNS = [("fixed-sum", 1050, 78), ("scaled-integral", 1050.5, 0.37)]
 CHECK_BLOCK = 300
+# parts_digest of the numpy path's parts on each of check_tasks(), in order:
+# the kernel is held to them without running numpy's sweep.  tests/test_kernel.py
+# recomputes them from _sweep_numpy, where a change to the sweep's
+# arithmetic re-pins them.
+CHECK_DIGESTS = (
+    "3f458f19b07bd1f3cf633abe653e7edf159724a8b936f30d3a485535b4cf0c7d",
+    "e80b928f9c67042c33d91b39e4d4cbeb24b12a995ae35f6199f3a3ca4ffe5be3",
+    "9c1acdd957e334eddb7734736d48775ddf1263ea2613153d07630411dde05588",
+    "5810c6d990ecc04275dee94a73842f05d3ad02479b0e2bb1db1cd58828132d96",
+)
 
 _kernel = None  # the compiled sweep once checked; False where numpy sweeps
 
@@ -495,18 +523,29 @@ class CheckEvents:
                 np.array([1.0 / (n % 7 + 1.5) for n in ns]))
 
 
+def check_tasks() -> list[tuple]:
+    """The sweep_segment tasks of CHECK_RUNS: segments of 1000, every order."""
+    return [task for mode, X, param in CHECK_RUNS
+            for task in tasks(mode, X, param, range(1, MAX_ORDER + 1), 1000)]
+
+
+def parts_digest(parts: dict[int, list]) -> str:
+    """SHA-256 of each order, its count of parts and their little-endian bits."""
+    digest = sha256()
+    for k, p in sorted(parts.items()):
+        digest.update(np.array([k, len(p)], dtype="<i8").tobytes())
+        digest.update(np.array(p, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
 def check_kernel(fn) -> str | None:
     """How fn's parts differ from numpy's on the check segments, or None."""
     sieve = CheckEvents()
     buffers = tuple(np.empty(CHECK_BLOCK + 2) for _ in range(5))
-    for mode, X, param in CHECK_RUNS:
-        for task in tasks(mode, X, param, range(1, MAX_ORDER + 1), 1000):
-            events = window_events(*task[:4], sieve)
-            want = _sweep_numpy(events, task, buffers, CHECK_BLOCK)
-            got = _sweep_kernel(fn, events, task, buffers, CHECK_BLOCK)
-            if any(np.array(got[k]).tobytes() != np.array(p).tobytes()
-                   for k, p in want.items()):
-                return f"differs from it on the segment {task[:4]}"
+    for task, want in zip(check_tasks(), CHECK_DIGESTS, strict=True):
+        events = window_events(*task[:4], sieve)
+        if parts_digest(_sweep_kernel(fn, events, task, buffers, CHECK_BLOCK)) != want:
+            return f"differs from it on the segment {task[:4]}"
     return None
 
 

@@ -130,3 +130,36 @@ def test_huge_finite_run_is_a_value_error(call):
     # segment size is capped, not an OverflowError, and the run is refused.
     with pytest.raises(ValueError, match="segment_size 67108864 exceeds 1048576 segments"):
         call()
+
+
+@pytest.mark.parametrize("fn,X,param", [
+    (psimoment.moment_sum, 10**5, 100),
+    (psimoment.moment_integral_fixed, 10**5, 100),
+    (psimoment.moment_integral_fixed, 1e5, 99.5),
+    (psimoment.moment_integral_scaled, 10**5, 1e-2),
+    (psimoment.moment_integral_scaled, 1e5, 1e-2),
+], ids=["sum", "fixed-int", "fixed-float", "scaled-int", "scaled-float"])
+def test_numpy_scalars_are_python_scalars(tmp_path, fn, X, param):
+    # numpy's integers (and floats, which subclass float) give the bits and
+    # the checkpoint digest of the Python numbers they hold, so a run started
+    # with one resumes with the other.
+    np = pytest.importorskip("numpy")
+
+    def numpy_scalar(v):
+        return np.int64(v) if isinstance(v, int) else np.float64(v)
+
+    def run(scalar, path=None, resume=False):
+        got = fn(scalar(X), scalar(param), [scalar(4), scalar(2)],
+                 segment_size=scalar(1 << 14), checkpoint=path, resume=resume)
+        return {k: v.hex() for k, v in got.items()}
+
+    python, numpy = tmp_path / "python.jsonl", tmp_path / "numpy.jsonl"
+    want = run(lambda v: v)
+    got = run(numpy_scalar)
+    assert got == want and all(type(k) is int for k in got)
+    assert run(lambda v: v, str(python)) == run(numpy_scalar, str(numpy)) == want
+    assert python.read_text().splitlines()[0] == numpy.read_text().splitlines()[0]
+    lines = python.read_text().splitlines()
+    python.write_text("\n".join(lines[:2]) + "\n")  # the header and one record
+    assert run(numpy_scalar, str(python), resume=True) == want
+    assert python.read_text().splitlines() == lines

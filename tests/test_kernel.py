@@ -5,7 +5,8 @@ a missing compiler and a kernel with wrong bits, each of which leaves the
 numpy path in use with one log line, and a failed build that later
 processes do not repeat; a cache that is not this user's alone, a corrupt
 and a stale library, each of which still ends on the kernel; two sources
-that share a cache; and the source the loader builds from.
+that share a cache; the pinned digests of the numpy path's parts that the
+kernel is checked against; and the source the loader builds from.
 """
 
 import logging
@@ -121,6 +122,46 @@ def test_kernel_refuses_short_buffers(compiled):
     events = sweep.window_events(*task[:4], MangoldtSieve())
     with pytest.raises(ValueError, match="buffers of 66"):
         sweep._sweep_kernel(compiled, events, task, tuple(np.empty(65) for _ in range(5)), 64)
+
+
+def test_check_digests_are_the_numpy_parts():
+    # The kernel is checked against pinned digests of the numpy path's
+    # parts: recomputed here from _sweep_numpy, so the pins cannot drift
+    # from the reference.  A change to the sweep's arithmetic re-pins them.
+    sieve = sweep.CheckEvents()
+    buffers = tuple(np.empty(sweep.CHECK_BLOCK + 2) for _ in range(5))
+    got = []
+    for task in sweep.check_tasks():
+        events = sweep.window_events(*task[:4], sieve)
+        got.append(sweep.parts_digest(
+            sweep._sweep_numpy(events, task, buffers, sweep.CHECK_BLOCK)))
+    assert len(got) == 4 and tuple(got) == sweep.CHECK_DIGESTS
+
+
+def test_check_runs_no_numpy_sweep(compiled, monkeypatch):
+    # Loading and checking the kernel sweeps nothing on the numpy path.
+    def refuse(*args):
+        raise AssertionError("the numpy path ran")
+
+    monkeypatch.setattr(sweep, "_sweep_numpy", refuse)
+    monkeypatch.setattr(sweep, "_kernel", None)
+    assert sweep.load_kernel()
+    assert sweep.check_kernel(compiled) is None
+
+
+def test_one_bit_refuses_the_kernel(compiled, monkeypatch):
+    # One part one ulp off, on one check segment: the check names it.
+    task = sweep.check_tasks()[2]
+    sweep_kernel = sweep._sweep_kernel
+
+    def off_by_one_bit(fn, events, t, buffers, block):
+        parts = sweep_kernel(fn, events, t, buffers, block)
+        if t == task:
+            parts[16][-1] = np.nextafter(parts[16][-1], np.inf)
+        return parts
+
+    monkeypatch.setattr(sweep, "_sweep_kernel", off_by_one_bit)
+    assert sweep.check_kernel(compiled) == f"differs from it on the segment {task[:4]}"
 
 
 def numpy_moments():

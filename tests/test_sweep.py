@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
@@ -327,11 +328,12 @@ KS16 = tuple(range(1, 17))
 SRC = str(Path(psimoment.__file__).resolve().parents[1])
 TESTS = str(Path(__file__).resolve().parent)
 
-# Each run's moments at k = 1..16, as hex, recorded at __version_salt__ 5.
-# A change to the sweep's arithmetic that moves any bit fails here; such a
-# change bumps sweep.__version_salt__, and these values must then be
-# regenerated.  The last two runs take the default segment size, and their
-# first segment holds ~9.5 blocks of pieces (MULTI_BLOCK_RUNS).
+# Each run's moments at k = 1..16, as hex, recorded at __version_salt__ 5
+# (2^15-piece blocks) and unchanged at 6 (2^14).  A change to the sweep's
+# arithmetic that moves any bit fails here; such a change bumps
+# sweep.__version_salt__, and these values must then be regenerated.  The
+# last two runs take the default segment size, and their first segment holds
+# ~19 blocks of pieces (MULTI_BLOCK_RUNS).
 PINNED_RUNS = [
     (moment_integral_scaled, (1000.5, 0.37), 7, [
         "0x1.24317bd65c42dp+9", "0x1.9a87b38c63978p+15", "0x1.2cae4b4d0cd41p+18",
@@ -392,19 +394,19 @@ def numpy_path():
 # compiler works.
 @pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)
 def test_pinned_bits(fn, args, size, want):
-    assert sweep.__version_salt__ == 5
+    assert sweep.__version_salt__ == 6
     got = fn(*args, KS16, segment_size=size)
     assert [got[k].hex() for k in KS16] == want
 
 
 @pytest.mark.parametrize("mode,X,param", MULTI_BLOCK_RUNS)
 def test_pinned_runs_sweep_several_blocks(mode, X, param):
-    # The default geometry: a 2^21 segment of over 9 blocks, then a shorter one.
+    # The default geometry: a 2^21 segment of over 18 blocks, then a shorter one.
     size = sweep.default_segment_size(mode, X, param)
     assert size == DEFAULT_SEGMENT_SIZE
     first = sweep.tasks(mode, X, param, (2,), size)[0]
     events = sweep.window_events(*first[:4], MangoldtSieve())
-    assert len(events[1]) + len(events[2]) > 9 * BLOCK
+    assert len(events[1]) + len(events[2]) > 18 * BLOCK
 
 
 @pytest.mark.parametrize("fn,args,size,want", PINNED_RUNS)
@@ -608,6 +610,36 @@ def test_window_events_match_reference(ends, window):
     assert s0.hex() == want[0].hex()
     assert coords.tobytes() == want[1].tobytes()
     assert signed.tobytes() == want[2].tobytes()
+
+
+class StoredEvents:
+    """A sieve that hands back the same arrays for every call."""
+
+    def __init__(self, ns, ws):
+        self.arrays = ns, ws
+
+    def events(self, lo, hi):
+        return self.arrays
+
+
+def test_window_sum_is_streamed():
+    # A window of 350k weights at x = a, of magnitudes 1e-8..1e8: s0 has the
+    # bits of one fsum of them all, and it is summed in chunks, so the
+    # traced peak stays small (a list of the whole window was ~11 MB).
+    rng = np.random.default_rng(1)
+    ns = np.arange(2, 400_002, dtype=np.int64)
+    ws = rng.standard_normal(len(ns)) * 10.0 ** rng.integers(-8, 9, len(ns))
+    a, b, delta, beta = 10.5, 20.5, 0.0, 350_000.0
+    l0, e0 = np.searchsorted(ns, a, "right"), np.searchsorted(ns - beta, a, "right")
+    assert e0 - l0 == 350_000
+    tracemalloc.start()
+    try:
+        s0 = sweep.window_events(a, b, delta, beta, StoredEvents(ns, ws))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s0.hex() == math.fsum(ws[l0:e0].tolist()).hex()
+    assert peak < 2**20, peak
 
 
 POSITIVE_COORDS = st.lists(

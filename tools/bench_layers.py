@@ -34,6 +34,9 @@ and, on one process, once each:
   2^21, 2^22 and the size default_segment_size picks there (2^24, 2^25);
 * e2e.<mode>@1e8_s: each mode's moments at X = 1e8 for k = 2, 4, 6.
 
+Each round also reports its process's peak RSS (ru_maxrss) once it is
+done, and the file holds each side's list of them, in MB, in maxrss_mb.
+
 The file records each side's segment sizes; where the two sides' sizes
 differ, the ratio of a segment's timings is taken per integer.
 """
@@ -43,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -70,8 +74,9 @@ def clock(f, reps: int = 1) -> float:
     return sorted(ts)[reps // 2]
 
 
-def one_round(path: str) -> dict[str, dict]:
-    """The timings of one path in this process, and the segment sizes timed."""
+def one_round(path: str) -> dict:
+    """The timings of one path in this process, the segment sizes timed and
+    the process's peak RSS in MB."""
     from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum, sweep
     from psimoment.sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
 
@@ -134,7 +139,8 @@ def one_round(path: str) -> dict[str, dict]:
                     ("fixed-integral", lambda: moment_integral_fixed(1e8, 1e5, [2, 4, 6])),
                     ("scaled-integral", lambda: moment_integral_scaled(1e8, 1e-4, [2, 4, 6]))]:
         out[f"e2e.{name}@1e8_s"] = clock(f)
-    return {"times": out, "sizes": sizes}
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
+    return {"times": out, "sizes": sizes, "maxrss_mb": round(peak, 2)}
 
 
 def iqr(xs) -> float:
@@ -195,6 +201,7 @@ def main() -> None:
         "machine": f"{os.cpu_count()} vCPU, Python {sys.version.split()[0]}, numpy {numpy_version}",
         "command": command, "commit": describe(ROOT), "runs_each": args.runs,
         "median_s": med, "iqr_s": spread, "segment_size": sizes,
+        "maxrss_mb": {side: [r["maxrss_mb"] for r in rs] for side, rs in rounds.items()},
         f"ratio_{second}_over_{first}": ratio,
     }
     if args.against:
