@@ -1,6 +1,6 @@
 """The package exports exactly what README's Library section documents,
-every other top-level name in src is read by src itself, and a run loads only
-the modules it uses."""
+every other top-level name in src is read by src itself, a run loads only
+the modules it uses, and numpy's scalars make the runs of Python's."""
 
 import ast
 import os
@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import psimoment
@@ -143,8 +144,6 @@ def test_numpy_scalars_are_python_scalars(tmp_path, fn, X, param):
     # numpy's integers (and floats, which subclass float) give the bits and
     # the checkpoint digest of the Python numbers they hold, so a run started
     # with one resumes with the other.
-    np = pytest.importorskip("numpy")
-
     def numpy_scalar(v):
         return np.int64(v) if isinstance(v, int) else np.float64(v)
 
@@ -153,13 +152,13 @@ def test_numpy_scalars_are_python_scalars(tmp_path, fn, X, param):
                  segment_size=scalar(1 << 14), checkpoint=path, resume=resume)
         return {k: v.hex() for k, v in got.items()}
 
-    python, numpy = tmp_path / "python.jsonl", tmp_path / "numpy.jsonl"
     want = run(lambda v: v)
     got = run(numpy_scalar)
     assert got == want and all(type(k) is int for k in got)
-    assert run(lambda v: v, str(python)) == run(numpy_scalar, str(numpy)) == want
-    assert python.read_text().splitlines()[0] == numpy.read_text().splitlines()[0]
-    lines = python.read_text().splitlines()
-    python.write_text("\n".join(lines[:2]) + "\n")  # the header and one record
-    assert run(numpy_scalar, str(python), resume=True) == want
-    assert python.read_text().splitlines() == lines
+    by_python, by_numpy = tmp_path / "python.jsonl", tmp_path / "numpy.jsonl"
+    assert run(lambda v: v, str(by_python)) == run(numpy_scalar, str(by_numpy)) == want
+    lines = by_python.read_text().splitlines()
+    assert by_numpy.read_text().splitlines()[0] == lines[0]  # the digest
+    by_python.write_text("\n".join(lines[:2]) + "\n")  # the header and one record
+    assert run(numpy_scalar, str(by_python), resume=True) == want
+    assert by_python.read_text().splitlines() == lines

@@ -10,6 +10,7 @@ import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -612,16 +613,6 @@ def test_window_events_match_reference(ends, window):
     assert signed.tobytes() == want[2].tobytes()
 
 
-class StoredEvents:
-    """A sieve that hands back the same arrays for every call."""
-
-    def __init__(self, ns, ws):
-        self.arrays = ns, ws
-
-    def events(self, lo, hi):
-        return self.arrays
-
-
 def test_window_sum_is_streamed():
     # A window of 350k weights at x = a, of magnitudes 1e-8..1e8: s0 has the
     # bits of one fsum of them all, and it is summed in chunks, so the
@@ -632,9 +623,10 @@ def test_window_sum_is_streamed():
     a, b, delta, beta = 10.5, 20.5, 0.0, 350_000.0
     l0, e0 = np.searchsorted(ns, a, "right"), np.searchsorted(ns - beta, a, "right")
     assert e0 - l0 == 350_000
+    stored = SimpleNamespace(events=lambda lo, hi: (ns, ws))  # a sieve of stored arrays
     tracemalloc.start()
     try:
-        s0 = sweep.window_events(a, b, delta, beta, StoredEvents(ns, ws))[0]
+        s0 = sweep.window_events(a, b, delta, beta, stored)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
