@@ -43,11 +43,12 @@ MAX_ORDER = 16
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
 # buffers take ~0.66 MB (the numpy path's merge permutation ~0.13 MB more),
 # half a 2^15 block's, and neither the merge nor any order copies a whole
-# segment.  Alone, a 2^21 segment's kernel sweep took as long at 2^14 as at
-# 2^15 on a 2-vCPU VM (~1.9-2.6 ms near 1e8 and 1e10, median of 31); the
-# numpy path, the fallback, took ~5-15% longer (~5.5-8 ms).  Blocks start at
-# fixed indices, so the bits do not depend on how the pieces were produced.
-# Each block folds down to at most FOLD_TO sums.
+# segment.  The price is twice the blocks and parts: on a 2-vCPU VM a scaled
+# 2^21 segment near 1e8 swept ~3% slower than at 2^15 (2.70 -> 2.78 ms,
+# median of 300 interleaved), a pooled scaled run at 1e8 ~6% slower, and
+# the numpy fallback ~5-15% slower per segment.  Blocks start at fixed
+# indices, so the bits do not depend on how the pieces were produced.  Each
+# block folds down to at most FOLD_TO sums.
 BLOCK = 1 << 14
 FOLD_TO = 64
 
@@ -497,9 +498,9 @@ KERNEL_DTYPES = (np.int64, np.int64, np.float64, np.float64)
 CHECK_RUNS = [("fixed-sum", 1050, 78), ("scaled-integral", 1050.5, 0.37)]
 CHECK_BLOCK = 300
 # parts_digest of the numpy path's parts on each of check_tasks(), in order:
-# the kernel is held to them without running numpy's sweep.  tests/test_kernel.py
-# recomputes them from _sweep_numpy, where a change to the sweep's
-# arithmetic re-pins them.
+# the kernel is held to them without running numpy's sweep.
+# tests/test_kernel.py recomputes them from _sweep_numpy, where a change to
+# the sweep's arithmetic re-pins them.
 CHECK_DIGESTS = (
     "3f458f19b07bd1f3cf633abe653e7edf159724a8b936f30d3a485535b4cf0c7d",
     "e80b928f9c67042c33d91b39e4d4cbeb24b12a995ae35f6199f3a3ca4ffe5be3",

@@ -72,7 +72,7 @@ def assert_same_parts(fn, task, sieve):
     ("scaled-integral", 1e8, 2.0**-17),
 ])
 def test_full_segments_match_numpy(compiled, mode, X, param):
-    # ~0.4M events and 13 blocks, every order: each block's parts, bit for bit.
+    # ~0.4M events and 23-28 blocks, every order: each block's parts, bit for bit.
     assert_same_parts(compiled, full_segment(mode, X, param), MangoldtSieve())
 
 

@@ -92,9 +92,10 @@ def fold_inputs(n, regime, rng):
 
 
 @pytest.mark.parametrize("regime", ["wide", "cancel-tiny", "cancel", "cancel-huge"])
-# Lengths about one and two blocks, and several blocks and a tail.
+# Lengths about one, two and four blocks, and several blocks and a tail.
 @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 1,
-                               2 * BLOCK, 2 * BLOCK + 1, 3 * BLOCK + 7, 6 * BLOCK + 7])
+                               2 * BLOCK, 2 * BLOCK + 1, 4 * BLOCK - 1, 4 * BLOCK,
+                               4 * BLOCK + 1, 3 * BLOCK + 7, 6 * BLOCK + 7, 12 * BLOCK + 7])
 def test_power_sums_fold_exact(n, regime):
     # With u == 1 and k = 1 each piece's term is exactly L, or 2L halved at
     # the end on the sloped path, so power_sums returns the blocked TwoSum
@@ -694,7 +695,7 @@ print(tracemalloc.get_traced_memory()[1])
 
 def test_segment_traced_peak():
     # One 2^22 segment near 2e7 with a fresh workspace: the block buffers and
-    # the sieve's arrays peak at ~7.6 MB.  With float64 copies of both event
+    # the sieve's arrays peak at ~5.2 MB.  With float64 copies of both event
     # runs it was ~10.9 MB, and with the merged event stream in four buffers
     # of 2m+2 values ~21.5 MB.
     run = subprocess.run([sys.executable, "-c", TRACED_PEAK],
