@@ -14,10 +14,31 @@
  * GROUP orders at once, and the first TwoSum level of a block pairs them as
  * they are made, so a block's pieces go through memory once per GROUP
  * orders rather than twice per order.
+ *
+ * It also does the two sums around the sweep that the numpy path leaves to
+ * math.fsum: the window weight at the segment's start, over the weights
+ * inside the window there, and each order's sum of its parts.  fsum below
+ * is CPython's math.fsum, operation for operation, so both have its bits.
+ *
+ * Built by GCC 11 or later for x86-64 with glibc, the hot functions are
+ * compiled for x86-64-v4 (AVX-512), x86-64-v3 (AVX2) and the baseline, and
+ * the dynamic loader picks the clone that the running CPU can run when the
+ * library loads (an ifunc), so a library in a cache shared by machines
+ * never runs an instruction the CPU lacks.  Wider vectors only change how
+ * many elementwise operations run at once: with -ffp-contract=off no clone
+ * fuses a multiply and an add, and none reorders an addition, so every
+ * clone gives the same bits.  Other compilers build the baseline alone.
  */
 
 #include <stdint.h>
 #include <string.h>
+
+#if defined(__GNUC__) && !defined(__clang__) && __GNUC__ >= 11 && defined(__x86_64__) \
+    && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "default")))
+#else
+#define CLONES
+#endif
 
 #define RUN_CHUNK 128 /* coordinates of a run converted at a time for the merge */
 #define SIGN INT64_MIN /* a double's sign bit */
@@ -40,6 +61,64 @@ static double real(int64_t i)
     return v;
 }
 
+/* The correctly rounded sum of v[0..n), as CPython's math.fsum has it: the
+ * input is added into a list of nonoverlapping partials, exactly, and the
+ * partials are added from the largest, with the last rounding made half-even
+ * across them.  Where math.fsum raises or returns a value that is not finite
+ * (an infinite or NaN value, an intermediate overflow) or more than
+ * MAX_PARTIALS partials would be kept, this returns NaN instead, and the
+ * caller sums with math.fsum. */
+#define MAX_PARTIALS 2100 /* nonoverlapping: at most one per bit from 2^-1074 to 2^1023 */
+
+static double magnitude(double v) { return v < 0.0 ? -v : v; }
+
+static double fsum(const double *v, int64_t n)
+{
+    double p[MAX_PARTIALS];
+    int64_t m = 0;
+    for (int64_t t = 0; t < n; t++) {
+        double x = v[t];
+        int64_t i = 0;
+        for (int64_t j = 0; j < m; j++) {
+            double y = p[j];
+            if (magnitude(x) < magnitude(y)) {
+                double swap = x;
+                x = y;
+                y = swap;
+            }
+            double hi = x + y;
+            double lo = y - (hi - x);
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        if (!(x - x == 0.0) || i == MAX_PARTIALS) /* x - x is NaN for inf and NaN */
+            return 0.0 / 0.0;
+        m = i;
+        if (x != 0.0)
+            p[m++] = x;
+    }
+    double hi = 0.0, lo = 0.0;
+    if (m > 0) {
+        hi = p[--m];
+        while (m > 0) { /* add from the top while the sum stays exact */
+            double x = hi, y = p[--m];
+            hi = x + y;
+            lo = y - (hi - x);
+            if (lo != 0.0)
+                break;
+        }
+        /* Round half-even across the partials below: a tie by hi + lo alone
+         * may not be one once they are counted. */
+        if (m > 0 && ((lo < 0.0 && p[m - 1] < 0.0) || (lo > 0.0 && p[m - 1] > 0.0))) {
+            double y = lo * 2.0, x = hi + y;
+            if (y == x - hi)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
 /* One TwoSum step: the sum of a and b and its rounding error, in Knuth's
  * branch-free form, as _fold has it. */
 static double two_sum(double a, double b, double *err)
@@ -55,8 +134,8 @@ static double two_sum(double a, double b, double *err)
  * x[t + 1] with window weight u[t] + beta.  With delta = 0 its term is
  * L*u^k; otherwise L*P_k, P_k = u_hi*P_(k-1) + u_lo^k, with
  * u_lo = u - x*delta at its start and u_hi at its end. */
-static void powers(const double *x, const double *u, double delta, int64_t n,
-                   const int64_t *ks, int64_t ng, double (*terms)[TERM_CHUNK])
+CLONES static void powers(const double *x, const double *u, double delta, int64_t n,
+                          const int64_t *ks, int64_t ng, double (*terms)[TERM_CHUNK])
 {
     double r[TERM_CHUNK], q[TERM_CHUNK], lo[TERM_CHUNK], hi[TERM_CHUNK];
     for (int64_t t = 0; t < n; t++) {
@@ -90,9 +169,9 @@ static void powers(const double *x, const double *u, double delta, int64_t n,
  * every later level of w values halves them in place: a step writes index
  * i < w/2 after it has read i and i + w/2, and no later step reads below
  * w/2. */
-static void fold_block(const double *x, const double *u, double delta, int64_t pieces,
-                       const int64_t *ks, int64_t ng, int64_t fold_to, double **out,
-                       double *parts, int64_t cap, int64_t *counts)
+CLONES static void fold_block(const double *x, const double *u, double delta,
+                              int64_t pieces, const int64_t *ks, int64_t ng, int64_t fold_to,
+                              double **out, double *parts, int64_t cap, int64_t *counts)
 {
     double a[GROUP][TERM_CHUNK], b[GROUP][TERM_CHUNK];
     if (pieces <= fold_to) {
@@ -144,19 +223,24 @@ static void fold_block(const double *x, const double *u, double delta, int64_t p
 }
 
 /* Sweep one segment: n_leaves leaves and n_enters enters (ascending prime
- * powers and their weights), the window weight s0 at x = a, the window
- * (x, (1 + delta)x + beta], and the n_ks orders ks.  x, u, c, d and r are
- * block + 2 values each.  The parts of order ks[o] go to parts[o*cap ..),
- * and their count to counts[o]. */
-void psimoment_sweep(const int64_t *leaves, const double *leave_ws, int64_t n_leaves,
-                     const int64_t *enters, const double *enter_ws, int64_t n_enters,
-                     double a, double b, double delta, double beta, double s0,
-                     const int64_t *ks, int64_t n_ks, int64_t block, int64_t fold_to,
-                     double *x, double *u, double *c, double *d, double *r,
-                     double *parts, int64_t cap, int64_t *counts)
+ * powers and their weights), the n_inside weights inside the window at
+ * x = a, the window (x, (1 + delta)x + beta], and the n_ks orders ks.  x,
+ * u, c, d and r are block + 2 values each.  The parts of order ks[o] go to
+ * parts[o*cap ..), their count to counts[o] and their fsum to sums[o].
+ * Returns the window weight s0 at x = a, the fsum of the inside weights;
+ * where that is NaN, nothing is swept. */
+CLONES double psimoment_sweep(const int64_t *leaves, const double *leave_ws, int64_t n_leaves,
+                              const int64_t *enters, const double *enter_ws, int64_t n_enters,
+                              const double *inside, int64_t n_inside,
+                              double a, double b, double delta, double beta,
+                              const int64_t *ks, int64_t n_ks, int64_t block, int64_t fold_to,
+                              double *x, double *u, double *c, double *d, double *r,
+                              double *parts, int64_t cap, int64_t *counts, double *sums)
 {
     int64_t n = n_leaves + n_enters;
-    double den = 1.0 + delta;
+    double den = 1.0 + delta, s0 = fsum(inside, n_inside);
+    if (s0 != s0)
+        return s0;
     for (int64_t o = 0; o < n_ks; o++)
         counts[o] = 0;
     x[0] = a;
@@ -219,4 +303,7 @@ void psimoment_sweep(const int64_t *leaves, const double *leave_ws, int64_t n_le
         x[0] = x[pieces]; /* the next block's start */
         u[0] = u[pieces];
     }
+    for (int64_t o = 0; o < n_ks; o++)
+        sums[o] = fsum(parts + o * cap, counts[o]);
+    return s0;
 }

@@ -36,17 +36,20 @@ import zlib
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_sweep.c")
 COMPILER = "cc"
-# -ffp-contract=off keeps every a*b + c at two roundings, as numpy has them;
-# -ffast-math or -march=native could change the bits.
+# -ffp-contract=off keeps every a*b + c at two roundings, as numpy has them,
+# in every clone the source builds for a CPU's vector width (see _sweep.c),
+# and the check against the numpy path's digests proves the bits on each
+# machine; -ffast-math would reorder additions and change them.
 FLAGS = ("-O3", "-fPIC", "-shared", "-ffp-contract=off")
 
 # A library, failure marker or leftover temporary file of this age is stale.
 STALE_SECONDS = 24 * 3600
 
 _P, _N, _F = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-# psimoment_sweep's parameters, as _sweep.c declares them.
-ARGTYPES = (_P, _P, _N, _P, _P, _N, _F, _F, _F, _F, _F, _P, _N, _N, _N,
-            _P, _P, _P, _P, _P, _P, _N, _P)
+# psimoment_sweep's parameters and result, as _sweep.c declares them.
+ARGTYPES = (_P, _P, _N, _P, _P, _N, _P, _N, _F, _F, _F, _F, _P, _N, _N, _N,
+            _P, _P, _P, _P, _P, _P, _N, _P, _P)
+RESTYPE = _F
 
 
 def private(path: str) -> bool:
@@ -108,7 +111,7 @@ def open_checked(path: str, check):
         fn = ctypes.CDLL(path).psimoment_sweep
     except (OSError, AttributeError) as exc:  # AttributeError: no such symbol
         raise OSError(f"the compiled kernel did not build or load: {path}: {exc}") from exc
-    fn.argtypes, fn.restype = ARGTYPES, None
+    fn.argtypes, fn.restype = ARGTYPES, RESTYPE
     problem = check(fn)
     if problem:
         raise OSError(f"the compiled kernel {path} {problem}")

@@ -43,12 +43,16 @@ MAX_ORDER = 16
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
 # buffers take ~0.66 MB (the numpy path's merge permutation ~0.13 MB more),
 # half a 2^15 block's, and neither the merge nor any order copies a whole
-# segment.  The price is twice the blocks and parts: on a 2-vCPU VM a scaled
-# 2^21 segment near 1e8 swept ~3% slower than at 2^15 (2.70 -> 2.78 ms,
-# median of 300 interleaved), a pooled scaled run at 1e8 ~6% slower, and
-# the numpy fallback ~5-15% slower per segment.  Blocks start at fixed
-# indices, so the bits do not depend on how the pieces were produced.  Each
-# block folds down to at most FOLD_TO sums.
+# segment.  The price is twice the blocks and parts, which the kernel now
+# sums itself.  On a 2-vCPU VM (AVX-512 clones), a 2^21 segment near 1e8
+# swept without its sieve call in ~1.75 ms fixed and ~2.1 ms scaled, against
+# ~2.05 and ~1.85 ms at 2^15 (medians of 41 calls, 3 interleaved processes);
+# pooled scaled-1e8 read wall_s 0.180 against 0.179 s at 2^15 (10 perfbench
+# pairs, 3/10 faster, inside the 0.013 s spread), where it was ~6% slower
+# while every part went through a Python list.  The numpy fallback is
+# ~5-15% slower per segment than at 2^15.  Blocks start at fixed indices, so
+# the bits do not depend on how the pieces were produced, but they do depend
+# on BLOCK.  Each block folds down to at most FOLD_TO sums.
 BLOCK = 1 << 14
 FOLD_TO = 64
 
@@ -259,11 +263,13 @@ def enter_at(v, delta: float, beta: float):
 
 
 def window_events(a: float, b: float, delta: float, beta: float, sieve):
-    """Window weight at x = a and the events for x in (a, b), as two sorted runs.
+    """The window's weights at x = a and the events for x in (a, b), as two sorted runs.
 
-    Returns (s0, leaves, enters, leave_ws, enter_ws): the ascending prime
-    powers that leave the window and those that enter it, and their
-    weights, all views into the sieve's arrays.  A prime power n leaves at
+    Returns (inside, leaves, enters, leave_ws, enter_ws): the weights of the
+    prime powers inside the window at x = a, whose window_weight is the
+    window weight s0 there, the ascending prime powers that leave the
+    window and those that enter it, and their weights, all views into the
+    sieve's arrays.  A prime power n leaves at
     x = float(n) and enters at x = enter_at(float(n), delta, beta); a leave
     lowers the window weight by its weight, an enter raises it, and in sweep
     order leaves come first on equal coordinates.  No coordinate is stored:
@@ -277,12 +283,18 @@ def window_events(a: float, b: float, delta: float, beta: float, sieve):
     # Both coordinates rise with n, so each condition selects a slice.
     l0, l1 = bisect_right(ns, a, key=float), bisect_left(ns, b, key=float)
     e0, e1 = bisect_right(ns, a, key=enter), bisect_left(ns, b, key=enter)
-    # n > a and entered at or before a.  fsum is exact over any iterable, so
-    # chunks of the window's weights give the bits of one list of them all.
-    inside = ws[l0:e0]
-    s0 = math.fsum(itertools.chain.from_iterable(
+    # Inside: n > a and entered at or before a.
+    return ws[l0:e0], ns[l0:l1], ns[e0:e1], ws[l0:l1], ws[e0:e1]
+
+
+def window_weight(inside) -> float:
+    """The window weight s0, the math.fsum of the weights inside the window.
+
+    fsum is exact over any iterable, so chunks of the weights give the bits
+    of one list of them all, without the list.
+    """
+    return math.fsum(itertools.chain.from_iterable(
         inside[i:i + 4096].tolist() for i in range(0, len(inside), 4096)))
-    return s0, ns[l0:l1], ns[e0:e1], ws[l0:l1], ws[e0:e1]
 
 
 def merge_split(leaves, enters, delta: float, beta: float, j: int) -> int:
@@ -377,7 +389,8 @@ def _sweep_numpy(events, task, buffers, block: int) -> dict[int, list]:
     not build, load or match: see sweep_segment.
     """
     a, b, delta, beta, ks = task
-    s0, leaves, enters, leave_ws, enter_ws = events
+    inside, leaves, enters, leave_ws, enter_ws = events
+    s0 = window_weight(inside)
     x_buf, u_buf, c_buf, d_buf, r_buf = buffers
     n = len(leaves) + len(enters)
     parts: dict[int, list] = {k: [] for k in ks}
@@ -427,19 +440,23 @@ def _sweep_numpy(events, task, buffers, block: int) -> dict[int, list]:
     return parts
 
 
-def _sweep_kernel(fn, events, task, buffers, block: int) -> dict[int, list]:
-    """_sweep_numpy's parts, from one call of the compiled kernel fn.
+def _sweep_kernel(fn, events, task, buffers, block: int):
+    """(sums, parts): _sweep_numpy's parts, as arrays, and the math.fsum of
+    each order's, from one call of the compiled kernel fn; None where the
+    window weight is not finite, which the numpy path sweeps.
 
     The kernel merges the runs in one linear pass instead of a sort per
-    block, and needs no scratch beyond the five buffers.
+    block, needs no scratch beyond the five buffers, and sums the window
+    weight and each order's parts itself.  An order whose sum it leaves NaN
+    (a part or the sum not finite) is summed by math.fsum, which raises or
+    returns what it does on the numpy path.
     """
     a, b, delta, beta, ks = task
     if any(len(v) < block + 2 or v.dtype != np.float64 or not v.flags.c_contiguous
            for v in buffers):
         raise ValueError(f"the kernel needs five contiguous float64 buffers of {block + 2}")
-    s0, *runs = events
-    leaves, enters = (np.ascontiguousarray(v, dtype=np.int64) for v in runs[:2])
-    leave_ws, enter_ws = (np.ascontiguousarray(v, dtype=np.float64) for v in runs[2:])
+    inside, leaves, enters, leave_ws, enter_ws = (
+        np.ascontiguousarray(v, dtype=t) for v, t in zip(events, (np.float64, *KERNEL_DTYPES)))
     orders = np.array(sorted(set(ks)), dtype=np.int64)
     n = len(leaves) + len(enters)
     # A block of m pieces folds to at most m parts, and to at most FOLD_TO
@@ -447,12 +464,19 @@ def _sweep_kernel(fn, events, task, buffers, block: int) -> dict[int, list]:
     cap = (n // block + 1) * min(block, 2 * FOLD_TO + 2 * block.bit_length())
     parts = np.empty((len(orders), cap))
     counts = np.empty(len(orders), dtype=np.int64)
-    fn(leaves.ctypes.data, leave_ws.ctypes.data, len(leaves),
-       enters.ctypes.data, enter_ws.ctypes.data, len(enters),
-       a, b, delta, beta, s0, orders.ctypes.data, len(orders), block, FOLD_TO,
-       *(v.ctypes.data for v in buffers), parts.ctypes.data, cap, counts.ctypes.data)
-    got = {int(k): p[:c].tolist() for k, p, c in zip(orders, parts, counts)}
-    return {k: got[k] for k in ks}
+    sums = np.empty(len(orders))
+    s0 = fn(leaves.ctypes.data, leave_ws.ctypes.data, len(leaves),
+            enters.ctypes.data, enter_ws.ctypes.data, len(enters),
+            inside.ctypes.data, len(inside), a, b, delta, beta,
+            orders.ctypes.data, len(orders), block, FOLD_TO,
+            *(v.ctypes.data for v in buffers), parts.ctypes.data, cap, counts.ctypes.data,
+            sums.ctypes.data)
+    if math.isnan(s0):
+        return None
+    got = {int(k): p[:c] for k, p, c in zip(orders, parts, counts)}
+    total = {int(k): math.fsum(got[k].tolist()) if math.isnan(s) else s
+             for k, s in zip(orders, sums.tolist())}
+    return {k: total[k] for k in ks}, {k: got[k] for k in ks}
 
 
 def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
@@ -470,20 +494,23 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     delta = 0 u is constant on each piece and a piece's term is its
     integral L*u^k; otherwise the term is (k+1) times it.
 
-    After window_events, the compiled kernel does all of it where it loaded
-    and passed its check, the orders are positive and the events are int64
-    and float64 arrays, as MangoldtSieve's are; otherwise the numpy path
-    does, with the same bits.
+    After window_events, the compiled kernel does all of it, the window
+    weight and the sums too, where it loaded and passed its check, the
+    orders are positive and the events are int64 and float64 arrays, as
+    MangoldtSieve's are; otherwise the numpy path does, with the same bits.
     """
     a, b, delta, beta, ks = task
     events = window_events(a, b, delta, beta, workspace.sieve)
-    fn = load_kernel()
+    fn, swept = load_kernel(), None
     if fn and all(k >= 1 for k in ks) and all(
             np.asarray(v).dtype == t for v, t in zip(events[1:], KERNEL_DTYPES)):
-        parts = _sweep_kernel(fn, events, task, workspace.buffers(), BLOCK)
-    else:
+        swept = _sweep_kernel(fn, events, task, workspace.buffers(), BLOCK)
+    if swept is None:
         parts = _sweep_numpy(events, task, workspace.buffers(), BLOCK)
-    return {k: math.fsum(p) / (k + 1 if delta else 1) for k, p in parts.items()}
+        sums = {k: math.fsum(p) for k, p in parts.items()}
+    else:
+        sums = swept[0]
+    return {k: s / (k + 1 if delta else 1) for k, s in sums.items()}
 
 
 # The dtypes of window_events' runs that the compiled kernel takes, which are
@@ -540,13 +567,18 @@ def parts_digest(parts: dict[int, list]) -> str:
 
 
 def check_kernel(fn) -> str | None:
-    """How fn's parts differ from numpy's on the check segments, or None."""
+    """How fn's parts, or their sums, differ from numpy's on the check
+    segments, or None."""
     sieve = CheckEvents()
     buffers = tuple(np.empty(CHECK_BLOCK + 2) for _ in range(5))
     for task, want in zip(check_tasks(), CHECK_DIGESTS, strict=True):
         events = window_events(*task[:4], sieve)
-        if parts_digest(_sweep_kernel(fn, events, task, buffers, CHECK_BLOCK)) != want:
+        swept = _sweep_kernel(fn, events, task, buffers, CHECK_BLOCK)
+        if swept is None or parts_digest(swept[1]) != want:
             return f"differs from it on the segment {task[:4]}"
+        for k, p in swept[1].items():
+            if swept[0][k].hex() != math.fsum(p.tolist()).hex():
+                return f"sums order {k} unlike math.fsum on the segment {task[:4]}"
     return None
 
 

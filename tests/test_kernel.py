@@ -10,6 +10,7 @@ kernel is checked against; and the source the loader builds from.
 """
 
 import logging
+import math
 import os
 import re
 import subprocess
@@ -20,9 +21,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import psimoment
 from psimoment import MangoldtSieve, kernel, sweep
+from psimoment.errors import NumericRangeError
 
 from oracles import ZeroMangoldt
 
@@ -56,10 +59,11 @@ def assert_same_parts(fn, task, sieve):
     events = sweep.window_events(*task[:4], sieve)
     buffers = sweep.Workspace(sieve).buffers()
     want = sweep._sweep_numpy(events, task, buffers, sweep.BLOCK)
-    got = sweep._sweep_kernel(fn, events, task, buffers, sweep.BLOCK)
-    assert list(got) == list(want)
+    sums, got = sweep._sweep_kernel(fn, events, task, buffers, sweep.BLOCK)
+    assert list(got) == list(sums) == list(want)
     for k, parts in want.items():
-        assert np.array(got[k]).tobytes() == np.array(parts).tobytes(), (task[:4], k)
+        assert got[k].tobytes() == np.array(parts).tobytes(), (task[:4], k)
+        assert sums[k].hex() == math.fsum(parts).hex(), (task[:4], k)
 
 
 @pytest.mark.parametrize("mode,X,param", [
@@ -115,6 +119,101 @@ def test_one_run_ending_first_matches_numpy(compiled, task, gap):
     assert_same_parts(compiled, task, Gapped(*gap))
 
 
+def kernel_fsum(fn, values):
+    """The kernel's fsum of values, or None where it leaves the sum to math.fsum.
+
+    The values are the weights inside the window (0, 1] at x = 0, with no
+    events: the kernel sums them to the window weight s0, and the one
+    piece's order-1 term is 1.0 * s0, whose one part it sums again.
+    """
+    no_events = (np.empty(0, np.int64),) * 2 + (np.empty(0),) * 2
+    buffers = tuple(np.empty(66) for _ in range(5))
+    got = sweep._sweep_kernel(fn, (np.array(values, dtype=np.float64), *no_events),
+                              (0.0, 1.0, 0.0, 0.0, (1,)), buffers, 64)
+    return None if got is None else got[0][1]
+
+
+HUGE = st.floats(1e306, sys.float_info.max)
+UNITS = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def ties(draw):
+    """x, half an ulp of x and a nudge far below, either sign, in any order:
+    a half-even tie that only the partials below the top two break."""
+    x = draw(st.floats(1.0, 1e300))
+    nudge = draw(st.sampled_from([0.0, 2.0**-200, -(2.0**-200), 5e-324, -5e-324]))
+    return draw(st.permutations([x, math.ulp(x) / 2, nudge]))
+
+
+FSUM_INPUTS = st.one_of(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=40),
+    # Cancellation: values and their negations, shuffled, around a small rest.
+    st.tuples(st.lists(st.floats(-1e300, 1e300), max_size=20),
+              st.lists(st.floats(-1e-10, 1e-10), max_size=4), st.randoms()).map(
+        lambda t: t[2].sample(t[0] + [-v for v in t[0]] + t[1],
+                              2 * len(t[0]) + len(t[1]))),
+    ties(),
+    st.lists(st.floats(-2.3e-308, 2.3e-308), max_size=20),  # subnormals
+    # Near +-1e308: sums that overflow, and ones that come back in range.
+    st.lists(st.one_of(HUGE, HUGE.map(lambda v: -v), UNITS), max_size=12),
+    st.lists(st.sampled_from([math.inf, -math.inf, math.nan, 1.0, -1.0]), max_size=4),
+)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(values=FSUM_INPUTS)
+@example(values=[])
+@example(values=[-0.0])
+@example(values=[5e-324])
+@example(values=[1e16, 1.0, 1e-16])  # rounds up only with the partial below the tie
+@example(values=[sys.float_info.max, sys.float_info.max, -sys.float_info.max])
+@example(values=[math.inf, -math.inf])
+def test_kernel_fsum_is_math_fsum(compiled, values):
+    # Bit for bit where math.fsum returns a finite sum; where it raises or
+    # returns inf or NaN, the kernel leaves the sum to it.
+    try:
+        want = math.fsum(values)
+    except (OverflowError, ValueError):
+        want = math.nan
+    got = kernel_fsum(compiled, values)
+    if math.isfinite(want):
+        assert got is not None and got.hex() == want.hex(), values
+    else:
+        assert got is None, values
+
+
+class Heavy(MangoldtSieve):
+    """MangoldtSieve with every weight set to weight."""
+
+    def __init__(self, weight):
+        super().__init__()
+        self.weight = weight
+
+    def events(self, lo, hi):
+        ns, ws = super().events(lo, hi)
+        return ns, np.full(len(ws), self.weight)
+
+
+@pytest.mark.parametrize("weight", [1e60, 10**74.95, 1e200])
+def test_overflowing_order_ends_as_on_numpy(compiled, weight):
+    # Terms that overflow to inf or NaN, or finite parts whose sum does:
+    # the kernel's sums leave them to math.fsum, so a run ends as on the
+    # numpy path, in the runner's NumericRangeError past 1e60.
+    def outcome():
+        try:
+            return psimoment.moment_integral_fixed(1e4, 100, [2, 4], sieve=Heavy(weight),
+                                                   segment_size=1000)
+        except NumericRangeError as exc:
+            return str(exc)
+
+    got = outcome()
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(sweep, "_kernel", False)
+        assert got == outcome()
+    assert isinstance(got, dict) if weight == 1e60 else "overflowed" in got
+
+
 def test_kernel_refuses_short_buffers(compiled):
     # The kernel writes block + 2 values into each buffer; shorter ones
     # would be overrun.
@@ -155,12 +254,20 @@ def test_one_bit_refuses_the_kernel(compiled, monkeypatch):
     sweep_kernel = sweep._sweep_kernel
 
     def off_by_one_bit(fn, events, t, buffers, block):
-        parts = sweep_kernel(fn, events, t, buffers, block)
+        sums, parts = sweep_kernel(fn, events, t, buffers, block)
         if t == task:
             parts[16][-1] = np.nextafter(parts[16][-1], np.inf)
-        return parts
+        return sums, parts
 
     monkeypatch.setattr(sweep, "_sweep_kernel", off_by_one_bit)
+    assert sweep.check_kernel(compiled) == f"differs from it on the segment {task[:4]}"
+
+
+def test_kernel_without_a_window_weight_is_refused(compiled, monkeypatch):
+    # A kernel that gives no window weight on a check segment is refused,
+    # not a crash of the check.
+    monkeypatch.setattr(sweep, "_sweep_kernel", lambda *args: None)
+    task = sweep.check_tasks()[0]
     assert sweep.check_kernel(compiled) == f"differs from it on the segment {task[:4]}"
 
 
@@ -194,7 +301,7 @@ def test_missing_compiler_falls_back_to_numpy(monkeypatch, caplog, tmp_path):
     ("*err = (a - (s - z)) + (b - z);", "*err = a - (s - z);",
      r"sweep: numpy path; the compiled kernel \S+ differs from it on the segment"),
     # A library without the function.
-    ("void psimoment_sweep(", "void psimoment_renamed(",
+    ("double psimoment_sweep(", "double psimoment_renamed(",
      r"sweep: numpy path; the compiled kernel did not build or load: .*psimoment_sweep"),
 ], ids=["wrong-bits", "no-symbol"])
 def test_broken_kernel_falls_back_to_numpy(monkeypatch, caplog, tmp_path, old, new, line):

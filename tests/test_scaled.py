@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from psimoment import MangoldtSieve, moment_integral_scaled, sweep
-from psimoment.sweep import window_events
+from psimoment.sweep import window_events, window_weight
 
 import oracles
 from oracles import adaptive_simpson, merge_runs
@@ -123,7 +123,7 @@ def test_segmentation_self_consistency_bit_exact():
 
 def test_boundary_window_sum_matches_psi():
     sieve = MangoldtSieve()
-    s = window_events(10**3, 10**3, 0.1, 0.0, sieve)[0]
+    s = window_weight(window_events(10**3, 10**3, 0.1, 0.0, sieve)[0])
     assert s == pytest.approx(sieve.psi(1100) - sieve.psi(1000), abs=1e-9)
 
 

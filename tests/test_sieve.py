@@ -133,6 +133,39 @@ def test_lambda_segment_minimal_base_matches_reference():
             assert_same_bits(lo, hi, base)
 
 
+TOP = (10**5 + 1) ** 2 - 1  # the highest n that base primes up to 10^5 sieve
+
+
+@pytest.mark.parametrize("lo,hi", [
+    (10**8 - 2**21, 10**8), (4 * 10**8 - 2**21, 4 * 10**8), (10**9, 10**9 + 2**22),
+    (9 * 10**9, 9 * 10**9 + 2**21), (10**10 - 2**22, 10**10), (TOP - 2**21, TOP), (TOP - 999, TOP),
+])
+def test_large_primes_in_rounds_or_slices_give_the_same_bits(monkeypatch, lo, hi):
+    # Crossing the large base primes off in rounds or in a slice each
+    # leaves the same mask, so the same ns and ws bytes.
+    base = small_primes(10**5)
+    got = []
+    for threshold in (0, math.inf):  # always the rounds, never
+        monkeypatch.setattr(sieve_module, "ROUND_PRIMES", threshold)
+        got.append(lambda_segment(Segment(lo, hi), base))
+    assert_equal_bits(*got, (lo, hi))
+
+
+def test_large_primes_take_the_rounds_only_where_many(monkeypatch):
+    # A 2^22 range at 1e10 (~7.7k large primes) still crosses them off in
+    # rounds; a 2^21 segment at 1e8 (~160) takes a slice each.
+    rounds = []
+    cross_rounds = sieve_module._cross_rounds
+    monkeypatch.setattr(sieve_module, "_cross_rounds",
+                        lambda mask, primes, *rest: rounds.append(len(primes))
+                        or cross_rounds(mask, primes, *rest))
+    sieve = MangoldtSieve()
+    sieve.events(10**10 - 2**22, 10**10)
+    assert len(rounds) == 1 and rounds[0] > 7000
+    sieve.events(10**8 - 2**21, 10**8)
+    assert len(rounds) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_events_matches_chunked_reference(data):

@@ -606,10 +606,10 @@ def test_window_events_match_reference(ends, window):
     # event stream that the full-stream reference builds from coordinates.
     (a, b), (delta, beta) = ends, window
     sieve = MangoldtSieve()
-    s0, *runs = sweep.window_events(a, b, delta, beta, sieve)
+    inside, *runs = sweep.window_events(a, b, delta, beta, sieve)
     coords, signed = oracles.merge_runs(*runs, delta, beta)
     want = oracles.window_events_reference(a, b, delta, beta, oracles.ReferenceWorkspace(sieve))
-    assert s0.hex() == want[0].hex()
+    assert sweep.window_weight(inside).hex() == want[0].hex()
     assert coords.tobytes() == want[1].tobytes()
     assert signed.tobytes() == want[2].tobytes()
 
@@ -627,7 +627,7 @@ def test_window_sum_is_streamed():
     stored = SimpleNamespace(events=lambda lo, hi: (ns, ws))  # a sieve of stored arrays
     tracemalloc.start()
     try:
-        s0 = sweep.window_events(a, b, delta, beta, stored)[0]
+        s0 = sweep.window_weight(sweep.window_events(a, b, delta, beta, stored)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

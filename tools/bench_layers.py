@@ -1,4 +1,4 @@
-"""Time the piece sweep by layer: its two paths, or a parent tree against this one.
+"""Time the sieve and the piece sweep by layer, on two paths or two trees.
 
     python3 tools/bench_layers.py 20            # writes BENCH_20.json
     python3 tools/bench_layers.py 20 --runs 5   # fewer rounds per side
@@ -24,7 +24,14 @@ X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
   order (_sweep_numpy or _sweep_kernel);
 * fold_s (numpy path only): the share of body_s in fold_powers, the powers
   and TwoSum folds; the rest of body_s is the merge, the cumsum and the
-  pieces.
+  pieces;
+* stage.<stage>_s: each stage of the sieve call, run one at a time as
+  lambda_segment runs them, and held to its output: wheel (the mask tiled
+  from the wheel), small (the base primes up to the mask length / ROUNDS,
+  a slice each), large (the larger base primes, in rounds or a slice
+  each: the file's sieve_large says which), nonzero (flatnonzero and the
+  mask's indices to n), splice (the higher powers put in) and log (the
+  weights).
 
 and, on one process, once each:
 
@@ -44,7 +51,9 @@ differ, the ratio of a segment's timings is taken per integer.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
+import math
 import os
 import resource
 import statistics
@@ -72,6 +81,96 @@ def clock(f, reps: int = 1) -> float:
         f()
         ts.append(time.perf_counter() - t)
     return sorted(ts)[reps // 2]
+
+
+def sieve_stages(sieve, lo: int, hi: int, reps: int = 5) -> tuple[dict, bool]:
+    """The median of reps timings of each stage of the sieve call (lo, hi],
+    by stage name, and whether its larger base primes took the rounds.
+
+    The stages repeat sieve.lambda_segment's steps one at a time in this
+    tree's sieve module; crossing off is idempotent, so each stage can be
+    timed on the mask that the stages before it left.  A stage list that
+    does not give lambda_segment's bits is an error, not a timing.
+    """
+    import numpy as np
+
+    from psimoment import sieve as module
+
+    base = sieve.base_primes(math.isqrt(hi))
+    primes, wheel = base.primes, module.WHEEL_PRIMES
+    o0 = lo + 1 + (lo & 1)
+    length = (hi - o0) // 2 + 1
+    first = np.searchsorted(primes, wheel[-1], "right")
+    stop = np.searchsorted(primes, math.isqrt(hi), "right")
+    split = min(stop, max(first, np.searchsorted(primes, length // module.ROUNDS, "right")))
+    # A tree from before ROUND_PRIMES took the rounds from ROUNDS primes on.
+    rounds = stop - split >= getattr(module, "ROUND_PRIMES", module.ROUNDS)
+    state = {}
+
+    def tiled():
+        phase = (o0 // 2) % module.WHEEL
+        mask = np.resize(module._WHEEL[phase:phase + module.WHEEL], length)
+        for q in wheel:
+            if lo < q <= hi:
+                mask[(q - o0) // 2] = True
+        if lo == 0:
+            mask[0] = False
+        state["mask"] = mask
+
+    def sliced(ps):
+        mask = state["mask"]
+        for p in ps.tolist():
+            mask[(max(p * p, ((lo // p + 1) | 1) * p) - o0) // 2 :: p] = False
+
+    def in_rounds(p):
+        mask = state["mask"]
+        i = (np.maximum(p * p, ((lo // p + 1) | 1) * p) - o0) // 2
+        live = i < length
+        while live.any():
+            p, i = p[live], i[live]
+            mask[i] = False
+            i += p
+            live = i < length
+
+    def nonzero():
+        ns = np.flatnonzero(state["mask"]).astype(np.int64, copy=False)
+        ns *= 2
+        ns += o0
+        if lo < 2 <= hi:
+            ns = np.concatenate((np.array([2], dtype=np.int64), ns))
+        state["ns"] = ns
+
+    def splice():
+        power_ns = base.powers[0]
+        a, b = np.searchsorted(power_ns, (lo, hi), "right")
+        ns, at = state["ns"], None
+        if a < b:
+            at = np.searchsorted(ns, power_ns[a:b])
+            ns = np.insert(ns, at, power_ns[a:b])
+            at += np.arange(b - a)
+        state["spliced"] = ns, at, a, b
+
+    def log():
+        ns, at, a, b = state["spliced"]
+        ws = ns.astype(np.float64)
+        np.log(ws, out=ws)
+        if at is not None:
+            ws[at] = [math.log(p) for p in base.powers[1][a:b].tolist()]
+        state["ws"] = ws
+
+    large = primes[split:stop]
+    stages = [("wheel", tiled), ("small", lambda: sliced(primes[first:split])),
+              ("large", (lambda: in_rounds(large)) if rounds else (lambda: sliced(large))),
+              ("nonzero", nonzero), ("splice", splice), ("log", log)]
+    times = {name: clock(stage, reps) for name, stage in stages}
+    # Digests, so that the stages' arrays are gone before lambda_segment
+    # makes its own and the round's peak RSS stays that of its sweeps.
+    got = [hashlib.sha256(v).digest() for v in (state["spliced"][0], state["ws"])]
+    state.clear()
+    if got != [hashlib.sha256(v).digest()
+               for v in module.lambda_segment(module.Segment(lo, hi), base)]:
+        raise AssertionError(f"the sieve's stages differ from lambda_segment on ({lo}, {hi}]")
+    return times, bool(rounds)
 
 
 def one_round(path: str) -> dict:
@@ -106,7 +205,7 @@ def one_round(path: str) -> dict:
     # A tree from before default_segment_size ran every default run at its
     # DEFAULT_SEGMENT_SIZE.
     default_size = getattr(sweep, "default_segment_size", lambda *run: DEFAULT_SEGMENT_SIZE)
-    out, sizes = {}, {}
+    out, sizes, large = {}, {}, {}
     for mode, X, p in SEGMENTS:
         size = default_size(mode, X, p)
         task = [t for t in sweep.tasks(mode, X, p, (2, 4, 6), size) if t[1] - t[0] == size][-1]
@@ -119,6 +218,9 @@ def one_round(path: str) -> dict:
         key = f"{mode.split('-')[0]}@{X:.0e}"
         sizes[key] = size
         out[key + ".sieve_s"] = clock(lambda: sieve.events(*span), 5)
+        stages, rounds = sieve_stages(sieve, *span)
+        out.update({f"{key}.stage.{name}_s": t for name, t in stages.items()})
+        large[key] = "rounds" if rounds else "slices"
         out[key + ".sweep_s"] = clock(lambda: sweep.sweep_segment(ws, task), 5)
         out[key + ".events_s"] = clock(lambda: sweep.window_events(*task[:4], ws.sieve), 5)
         folding[0] = 0.0
@@ -140,7 +242,7 @@ def one_round(path: str) -> dict:
                     ("scaled-integral", lambda: moment_integral_scaled(1e8, 1e-4, [2, 4, 6]))]:
         out[f"e2e.{name}@1e8_s"] = clock(f)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"times": out, "sizes": sizes, "maxrss_mb": round(peak, 2)}
+    return {"times": out, "sizes": sizes, "large": large, "maxrss_mb": round(peak, 2)}
 
 
 def iqr(xs) -> float:
@@ -201,6 +303,7 @@ def main() -> None:
         "machine": f"{os.cpu_count()} vCPU, Python {sys.version.split()[0]}, numpy {numpy_version}",
         "command": command, "commit": describe(ROOT), "runs_each": args.runs,
         "median_s": med, "iqr_s": spread, "segment_size": sizes,
+        "sieve_large": {side: rs[0]["large"] for side, rs in rounds.items()},
         "maxrss_mb": {side: [r["maxrss_mb"] for r in rs] for side, rs in rounds.items()},
         f"ratio_{second}_over_{first}": ratio,
     }
