@@ -6,7 +6,7 @@ the wheel tiled by np.resize: the odd n prime to 3*5*7*11*13, which repeat
 with period 15015 in the odd index.  The base primes up to length/ROUNDS then
 cross off their odd multiples one strided slice each.  Every larger prime
 has at most ROUNDS multiples in the mask.  Where there are at least
-ROUND_PRIMES of them (a 2^21 segment from X ~ 5e8 on), they are crossed off
+ROUND_PRIMES of them (a 2^21 segment from X ~ 5.1e8 on), they are crossed off
 together, one multiple per prime per round, in O(#primes) memory; fewer
 take a slice each too, which is cheaper than ROUNDS vectorized rounds.  The
 higher powers p^m (m >= 2) come from a table built once per set of base
@@ -44,13 +44,15 @@ _WHEEL = _wheel()
 
 # Base primes above (odd-mask length) / ROUNDS have at most ROUNDS multiples
 # in the mask and are crossed off together in rounds, unless there are fewer
-# than ROUND_PRIMES of them: then a slice each is cheaper.  On a 2-vCPU VM a
-# 2^21 segment's _odd_mask near 1e8 (160 such primes) took 2.4 ms with
-# slices against 3.6 ms with rounds, near 4e8 (1193) 2.9 against 3.1 ms,
-# near 1e9 (2332) 3.9 against 3.3 ms, and near 1e10 (8523) 7.8 against
-# 3.9 ms.  Either way the mask, and so every bit downstream, is the same.
+# than ROUND_PRIMES of them: then a slice each is cheaper.  On a 2-vCPU VM
+# the rounds took this share of the slices' time in a 2^21 segment's
+# _odd_mask ending at X (two runs, 60 calls of each): 1.23 at 1e8 (201 such
+# primes), 1.04 at 4e8 (1234), 1.00-1.01 at 5e8 (1474), 0.98 at 6e8 (1689),
+# 0.93 at 8e8 (2052), 0.90 at 1e9 (2373); a 2^22 range near 1e10 (7692)
+# took 2.35 ms in rounds against 5.7 ms in slices.  Either way the mask, and
+# so every bit downstream, is the same.
 ROUNDS = 128
-ROUND_PRIMES = 1000
+ROUND_PRIMES = 1500
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,16 @@ def _odd_mask(lo: int, hi: int, base: BasePrimes) -> tuple[int, np.ndarray]:
 
     o0 is the first odd n > lo; base must hold the primes up to sqrt(hi).
     """
+    o0, mask = _wheel_mask(lo, hi)
+    small, large = _crossing_primes(base.primes, len(mask), hi)
+    _cross_slices(mask, small, lo, o0)
+    _cross_large(mask, large, lo, o0)
+    return o0, mask
+
+
+def _wheel_mask(lo: int, hi: int) -> tuple[int, np.ndarray]:
+    """_odd_mask's (o0, mask) before any base prime above the wheel's crosses
+    off: the wheel tiled from o0's phase, the wheel primes themselves kept."""
     o0 = lo + 1 + (lo & 1)
     length = (hi - o0) // 2 + 1
     phase = (o0 // 2) % WHEEL
@@ -114,15 +126,22 @@ def _odd_mask(lo: int, hi: int, base: BasePrimes) -> tuple[int, np.ndarray]:
             mask[(q - o0) // 2] = True
     if lo == 0:
         mask[0] = False  # n = 1
+    return o0, mask
 
-    primes = base.primes
+
+def _crossing_primes(primes: np.ndarray, length: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base primes above the wheel's and up to sqrt(hi) that cross off a
+    mask of length, as (those up to length/ROUNDS, the larger ones)."""
     first = np.searchsorted(primes, WHEEL_PRIMES[-1], "right")
     stop = np.searchsorted(primes, math.isqrt(hi), "right")
     split = min(stop, max(first, np.searchsorted(primes, length // ROUNDS, "right")))
-    _cross_slices(mask, primes[first:split], lo, o0)
-    large = primes[split:stop]
-    (_cross_rounds if len(large) >= ROUND_PRIMES else _cross_slices)(mask, large, lo, o0)
-    return o0, mask
+    return primes[first:split], primes[split:stop]
+
+
+def _cross_large(mask: np.ndarray, primes: np.ndarray, lo: int, o0: int) -> None:
+    """Cross off the larger base primes: in rounds where there are at least
+    ROUND_PRIMES of them, else a slice each."""
+    (_cross_rounds if len(primes) >= ROUND_PRIMES else _cross_slices)(mask, primes, lo, o0)
 
 
 def _cross_slices(mask: np.ndarray, primes: np.ndarray, lo: int, o0: int) -> None:
@@ -158,25 +177,44 @@ def lambda_segment(seg: Segment, base: BasePrimes) -> tuple[np.ndarray, np.ndarr
     o0, mask = _odd_mask(seg.lo, seg.hi, base)
     # The mask is dropped, and the logs taken in place, so that fewer large
     # arrays are alive at once: ~1-3% lower peak RSS per worker.
-    ns = np.flatnonzero(mask).astype(np.int64, copy=False)
+    ns = _mask_ns(o0, mask)
     del mask
+    ns, at, ps = _splice_powers(ns, base, seg.lo, seg.hi)
+    return ns, _weights(ns, at, ps)
+
+
+def _mask_ns(o0: int, mask: np.ndarray) -> np.ndarray:
+    """The odd primes the mask holds, ascending."""
+    ns = np.flatnonzero(mask).astype(np.int64, copy=False)
     ns *= 2
     ns += o0
-    if seg.lo < 2 <= seg.hi:
+    return ns
+
+
+def _splice_powers(ns: np.ndarray, base: BasePrimes, lo: int, hi: int):
+    """(ns, at, ps): the odd primes ns with 2 and the higher powers in
+    (lo, hi] put in, the powers' indices there (None where there are none)
+    and their p."""
+    if lo < 2 <= hi:
         ns = np.concatenate((np.array([2], dtype=np.int64), ns))
     power_ns, power_ps = base.powers
-    a, b = np.searchsorted(power_ns, (seg.lo, seg.hi), "right")
-    if a < b:
-        # Splice the powers in: each lands after the primes below it and the
-        # powers before it.
-        at = np.searchsorted(ns, power_ns[a:b])
-        ns = np.insert(ns, at, power_ns[a:b])
-        at += np.arange(b - a)
+    a, b = np.searchsorted(power_ns, (lo, hi), "right")
+    if a == b:
+        return ns, None, power_ps[a:b]
+    # Each power lands after the primes below it and the powers before it.
+    at = np.searchsorted(ns, power_ns[a:b])
+    ns = np.insert(ns, at, power_ns[a:b])
+    at += np.arange(b - a)
+    return ns, at, power_ps[a:b]
+
+
+def _weights(ns: np.ndarray, at, ps: np.ndarray) -> np.ndarray:
+    """log n for each prime n, log p for each power p^m at the indices at."""
     ws = ns.astype(np.float64)
     np.log(ws, out=ws)
-    if a < b:
-        ws[at] = [math.log(p) for p in power_ps[a:b].tolist()]  # log p, not log p^m
-    return ns, ws
+    if at is not None:
+        ws[at] = [math.log(p) for p in ps.tolist()]  # log p, not log p^m
+    return ws
 
 
 def _chunks(lo: int, hi: int):

@@ -153,7 +153,7 @@ def test_large_primes_in_rounds_or_slices_give_the_same_bits(monkeypatch, lo, hi
 
 def test_large_primes_take_the_rounds_only_where_many(monkeypatch):
     # A 2^22 range at 1e10 (~7.7k large primes) still crosses them off in
-    # rounds; a 2^21 segment at 1e8 (~160) takes a slice each.
+    # rounds; a 2^21 segment at 1e8 (~200) takes a slice each.
     rounds = []
     cross_rounds = sieve_module._cross_rounds
     monkeypatch.setattr(sieve_module, "_cross_rounds",
