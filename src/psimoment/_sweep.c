@@ -28,6 +28,11 @@
  * many elementwise operations run at once: with -ffp-contract=off no clone
  * fuses a multiply and an add, and none reorders an addition, so every
  * clone gives the same bits.  Other compilers build the baseline alone.
+ * On a 2-vCPU AVX-512 VM, one-target builds of this source (-march, no
+ * clones) swept the pieces of a 2^21 segment near 1e8 in 2.43 ms for the
+ * baseline, 2.19 ms for x86-64-v3 and 2.15 ms for x86-64-v4 with a fixed
+ * window, and in 2.74, 2.51 and 2.23 ms with a scaled one (medians over 7
+ * alternating processes; each v3 process beat each baseline one).
  */
 
 #include <stdint.h>
