@@ -55,6 +55,18 @@ def _call_worker(task):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
+def order_sum(k: int, values) -> float:
+    """The math.fsum of order k's values; NumericRangeError where it overflows."""
+    # fsum raises OverflowError past float64 and ValueError on inf - inf.
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError) as exc:
+        raise NumericRangeError(f"order-{k} partial sum overflowed: {exc}") from exc
+    if not math.isfinite(total):
+        raise NumericRangeError(f"order-{k} partial sum overflowed: {total}")
+    return total
+
+
 def _recorded_nothing(path: str) -> bool:
     """Whether the checkpoint at path is missing or has 0 bytes."""
     try:
@@ -146,13 +158,4 @@ def run_tasks(
     if len(done) < len(tasks):
         raise LongRunError(refusal)
 
-    out = {}
-    for k in ks:
-        # fsum raises OverflowError past float64 and ValueError on inf - inf.
-        try:
-            out[k] = math.fsum(done[i][k] for i in range(len(tasks)))
-        except (OverflowError, ValueError) as exc:
-            raise NumericRangeError(f"order-{k} partial sum overflowed: {exc}") from exc
-        if not math.isfinite(out[k]):
-            raise NumericRangeError(f"order-{k} partial sum overflowed: {out[k]}")
-    return out
+    return {k: order_sum(k, (done[i][k] for i in range(len(tasks)))) for k in ks}

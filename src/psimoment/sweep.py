@@ -31,7 +31,7 @@ import numpy as np
 
 from . import kernel
 from .checkpoint import config_digest, sha256
-from .runner import run_tasks
+from .runner import order_sum, run_tasks
 from .sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
 
 __version_salt__ = 6  # bump to invalidate old checkpoints on algorithm change
@@ -448,8 +448,8 @@ def _sweep_kernel(fn, events, task, buffers, block: int):
     The kernel merges the runs in one linear pass instead of a sort per
     block, needs no scratch beyond the five buffers, and sums the window
     weight and each order's parts itself.  An order whose sum it leaves NaN
-    (a part or the sum not finite) is summed by math.fsum, which raises or
-    returns what it does on the numpy path.
+    (a part or the sum not finite) is summed by order_sum, which raises
+    NumericRangeError as it does on the numpy path.
     """
     a, b, delta, beta, ks = task
     if any(len(v) < block + 2 or v.dtype != np.float64 or not v.flags.c_contiguous
@@ -474,8 +474,8 @@ def _sweep_kernel(fn, events, task, buffers, block: int):
     if math.isnan(s0):
         return None
     got = {int(k): p[:c] for k, p, c in zip(orders, parts, counts)}
-    total = {int(k): math.fsum(got[k].tolist()) if math.isnan(s) else s
-             for k, s in zip(orders, sums.tolist())}
+    total = {k: order_sum(k, got[k].tolist()) if math.isnan(s) else s
+             for k, s in zip(got, sums.tolist())}
     return {k: total[k] for k in ks}, {k: got[k] for k in ks}
 
 
@@ -490,7 +490,8 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     from the x[i], u[i] and count of merged leaves that the block before it
     left, and merges only the events behind x[i+1..j], with the additions
     of one cumsum over all pieces.  Every order's block is folded by _fold
-    and one math.fsum per order adds the folds of all blocks.  With
+    and order_sum, one math.fsum per order, adds the folds of all blocks; it
+    raises NumericRangeError where that sum is not finite.  With
     delta = 0 u is constant on each piece and a piece's term is its
     integral L*u^k; otherwise the term is (k+1) times it.
 
@@ -507,7 +508,7 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
         swept = _sweep_kernel(fn, events, task, workspace.buffers(), BLOCK)
     if swept is None:
         parts = _sweep_numpy(events, task, workspace.buffers(), BLOCK)
-        sums = {k: math.fsum(p) for k, p in parts.items()}
+        sums = {k: order_sum(k, p) for k, p in parts.items()}
     else:
         sums = swept[0]
     return {k: s / (k + 1 if delta else 1) for k, s in sums.items()}

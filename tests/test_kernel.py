@@ -6,7 +6,8 @@ numpy path in use with one log line, and a failed build that later
 processes do not repeat; a cache that is not this user's alone, a corrupt
 and a stale library, each of which still ends on the kernel; two sources
 that share a cache; the pinned digests of the numpy path's parts that the
-kernel is checked against; and the source the loader builds from.
+kernel is checked against; the source the loader builds from; and the
+compiled fixture, which skips only where no kernel can be had.
 """
 
 import logging
@@ -33,21 +34,49 @@ KS16 = tuple(range(1, 17))
 SEGMENT = 1 << 22
 
 
-@pytest.fixture(scope="module")
-def compiled():
+def compiled_kernel():
     """The compiled sweep; a skip where it cannot be built or loaded.
 
     A kernel that builds and loads but fails its check against the numpy
-    path fails the test: that is a fault, not a missing compiler.
+    path fails the test, whether the check ran now or a failed build's
+    marker holds its reason: that is a fault, not a missing compiler.
     """
     fn = sweep.load_kernel()
     if not fn:
         try:
-            kernel.load()
+            kernel.load(sweep.check_kernel)
         except OSError as exc:
-            pytest.skip(f"no compiled kernel: {exc}")
-        pytest.fail("the compiled kernel builds and loads but fails its check")
+            if re.search("did not build or load|only where files have owners", str(exc)):
+                pytest.skip(f"no compiled kernel: {exc}")
+            pytest.fail(f"the compiled kernel fails its check: {exc}")
+        pytest.fail("the compiled kernel builds, loads and passes its check, but is not used")
     return fn
+
+
+@pytest.fixture(scope="module")
+def compiled():
+    return compiled_kernel()
+
+
+@pytest.mark.parametrize("reason, outcome", [
+    ("the compiled kernel did not build or load: cc: [Errno 2] No such file", pytest.skip),
+    ("the compiled kernel is loaded only where files have owners", pytest.skip),
+    ("the compiled kernel /c/_sweep-0.so differs from it on the segment (1, 2, 0, 3)",
+     pytest.fail),
+    ("the compiled kernel /c/_sweep-0.so sums order 2 unlike math.fsum on the segment "
+     "(1, 2, 0, 3) (a build within the last day; remove /c/_sweep-0.bad to build again)",
+     pytest.fail),
+], ids=["no-build", "no-owners", "check", "marked-check"])
+def test_compiled_fails_a_kernel_that_fails_its_check(monkeypatch, reason, outcome):
+    # Only a kernel that cannot be had skips the kernel tests; one that
+    # fails its check, fresh or as a marker recorded it, fails them.
+    def load(check):
+        raise OSError(reason)
+
+    monkeypatch.setattr(sweep, "_kernel", False)
+    monkeypatch.setattr(kernel, "load", load)
+    with pytest.raises(outcome.Exception, match=re.escape(reason)):
+        compiled_kernel()
 
 
 def full_segment(mode, X, param):
@@ -195,11 +224,12 @@ class Heavy(MangoldtSieve):
         return ns, np.full(len(ws), self.weight)
 
 
-@pytest.mark.parametrize("weight", [1e60, 10**74.95, 1e200])
+@pytest.mark.parametrize("weight", [1e60, 10**74.95, 10**75.05, 1e200])
 def test_overflowing_order_ends_as_on_numpy(compiled, weight):
-    # Terms that overflow to inf or NaN, or finite parts whose sum does:
-    # the kernel's sums leave them to math.fsum, so a run ends as on the
-    # numpy path, in the runner's NumericRangeError past 1e60.
+    # Terms that overflow to inf or NaN, or finite parts whose sum does,
+    # within a segment (10**75.05) or only across segments (10**74.95):
+    # the kernel's sums leave them to order_sum, so a run ends as on the
+    # numpy path, in NumericRangeError past 1e60.
     def outcome():
         try:
             return psimoment.moment_integral_fixed(1e4, 100, [2, 4], sieve=Heavy(weight),

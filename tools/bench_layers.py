@@ -31,10 +31,7 @@ X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
   base primes up to the mask length / ROUNDS, a slice each), large (the
   larger base primes, in rounds or a slice each: the file's sieve_large
   says which), nonzero (flatnonzero and the mask's indices to n), splice
-  (2 and the higher powers put in) and log (the weights).  A tree whose
-  sieve module has no such functions runs CopiedStages instead, and the
-  file's sieve_stages says so ("copied"): there only the large stage's
-  rule is that tree's code, so its other stage ratios compare the copy.
+  (2 and the higher powers put in) and log (the weights).
 
 and, on one process, once each:
 
@@ -49,6 +46,10 @@ done, and the file holds each side's list of them, in MB, in maxrss_mb.
 
 The file records each side's segment sizes; where the two sides' sizes
 differ, the ratio of a segment's timings is taken per integer.
+
+--against TREE needs a checkout from commit e5848ca on: a round calls the
+tree's own sieve stage functions, sieve.ROUND_PRIMES and
+sweep.default_segment_size, which older trees do not have.
 """
 
 from __future__ import annotations
@@ -63,8 +64,6 @@ import statistics
 import subprocess
 import sys
 import time
-
-import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEGMENTS = [("fixed-integral", 10**8, 10**5), ("scaled-integral", 10**8, 1e-4),
@@ -88,118 +87,40 @@ def clock(f, reps: int = 1) -> float:
     return sorted(ts)[reps // 2]
 
 
-STAGE_FUNCTIONS = ("_wheel_mask", "_crossing_primes", "_cross_slices", "_cross_large",
-                   "_mask_ns", "_splice_powers", "_weights")
-
-
-class CopiedStages:
-    """lambda_segment's stages for a tree whose sieve module runs them inline
-    rather than as STAGE_FUNCTIONS: a copy of those functions that reads the
-    tree's constants and its rule for the large primes.  Only the large
-    stage's rule and the constants are that tree's; the rest is this copy."""
-
-    def __init__(self, module):
-        self.module = module
-
-    def _wheel_mask(self, lo, hi):
-        m = self.module
-        o0 = lo + 1 + (lo & 1)
-        phase = (o0 // 2) % m.WHEEL
-        mask = np.resize(m._WHEEL[phase:phase + m.WHEEL], (hi - o0) // 2 + 1)
-        for q in m.WHEEL_PRIMES:
-            if lo < q <= hi:
-                mask[(q - o0) // 2] = True
-        if lo == 0:
-            mask[0] = False
-        return o0, mask
-
-    def _crossing_primes(self, primes, length, hi):
-        m = self.module
-        first = np.searchsorted(primes, m.WHEEL_PRIMES[-1], "right")
-        stop = np.searchsorted(primes, math.isqrt(hi), "right")
-        split = min(stop, max(first, np.searchsorted(primes, length // m.ROUNDS, "right")))
-        return primes[first:split], primes[split:stop]
-
-    def _cross_slices(self, mask, primes, lo, o0):
-        for p in primes.tolist():
-            mask[(max(p * p, ((lo // p + 1) | 1) * p) - o0) // 2 :: p] = False
-
-    def _cross_large(self, mask, primes, lo, o0):
-        # A tree from before ROUND_PRIMES took the rounds from ROUNDS primes on.
-        if len(primes) < getattr(self.module, "ROUND_PRIMES", self.module.ROUNDS):
-            return self._cross_slices(mask, primes, lo, o0)
-        i = (np.maximum(primes * primes, ((lo // primes + 1) | 1) * primes) - o0) // 2
-        live = i < len(mask)
-        while live.any():
-            primes, i = primes[live], i[live]
-            mask[i] = False
-            i += primes
-            live = i < len(mask)
-
-    def _mask_ns(self, o0, mask):
-        ns = np.flatnonzero(mask).astype(np.int64, copy=False)
-        ns *= 2
-        ns += o0
-        return ns
-
-    def _splice_powers(self, ns, base, lo, hi):
-        if lo < 2 <= hi:
-            ns = np.concatenate((np.array([2], dtype=np.int64), ns))
-        power_ns, power_ps = base.powers
-        a, b = np.searchsorted(power_ns, (lo, hi), "right")
-        if a == b:
-            return ns, None, power_ps[a:b]
-        at = np.searchsorted(ns, power_ns[a:b])
-        ns = np.insert(ns, at, power_ns[a:b])
-        at += np.arange(b - a)
-        return ns, at, power_ps[a:b]
-
-    def _weights(self, ns, at, ps):
-        ws = ns.astype(np.float64)
-        np.log(ws, out=ws)
-        if at is not None:
-            ws[at] = [math.log(p) for p in ps.tolist()]
-        return ws
-
-
-def sieve_stages(sieve, lo: int, hi: int, reps: int = 5) -> tuple[dict, bool, bool]:
+def sieve_stages(sieve, lo: int, hi: int, reps: int = 5) -> tuple[dict, bool]:
     """The median of reps timings of each stage of the sieve call (lo, hi],
-    by stage name, whether its larger base primes took the rounds, and
-    whether the stages ran CopiedStages rather than the tree's own code.
+    by stage name, and whether its larger base primes took the rounds.
 
-    Each stage calls the tree's sieve function for it, as lambda_segment
-    does, where the tree has STAGE_FUNCTIONS.  Crossing off is idempotent,
-    so each stage can be timed on the mask that the stages before it left.
-    A stage list that does not give lambda_segment's bits is an error, not
-    a timing.
+    Each stage calls the sieve module's function for it, as lambda_segment
+    does.  Crossing off is idempotent, so each stage can be timed on the
+    mask that the stages before it left.  A stage list that does not give
+    lambda_segment's bits is an error, not a timing.
     """
     from psimoment import sieve as module
 
-    copied = not all(hasattr(module, name) for name in STAGE_FUNCTIONS)
-    f = CopiedStages(module) if copied else module
     base = sieve.base_primes(math.isqrt(hi))
     o0 = lo + 1 + (lo & 1)
-    small, large = f._crossing_primes(base.primes, (hi - o0) // 2 + 1, hi)
+    small, large = module._crossing_primes(base.primes, (hi - o0) // 2 + 1, hi)
     state = {}
 
     def wheel():
-        state["mask"] = f._wheel_mask(lo, hi)[1]
+        state["mask"] = module._wheel_mask(lo, hi)[1]
 
     def nonzero():
-        state["ns"] = f._mask_ns(o0, state["mask"])
+        state["ns"] = module._mask_ns(o0, state["mask"])
 
     def splice():
-        state["spliced"] = f._splice_powers(state["ns"], base, lo, hi)
+        state["spliced"] = module._splice_powers(state["ns"], base, lo, hi)
 
     def log():
-        state["ws"] = f._weights(*state["spliced"])
+        state["ws"] = module._weights(*state["spliced"])
 
     stages = [("wheel", wheel),
-              ("small", lambda: f._cross_slices(state["mask"], small, lo, o0)),
-              ("large", lambda: f._cross_large(state["mask"], large, lo, o0)),
+              ("small", lambda: module._cross_slices(state["mask"], small, lo, o0)),
+              ("large", lambda: module._cross_large(state["mask"], large, lo, o0)),
               ("nonzero", nonzero), ("splice", splice), ("log", log)]
     times = {name: clock(stage, reps) for name, stage in stages}
-    rounds = len(large) >= getattr(module, "ROUND_PRIMES", module.ROUNDS)
+    rounds = len(large) >= module.ROUND_PRIMES
     # Digests, so that the stages' arrays are gone before lambda_segment
     # makes its own and the round's peak RSS stays that of its sweeps.
     got = [hashlib.sha256(v).digest() for v in (state["spliced"][0], state["ws"])]
@@ -207,14 +128,14 @@ def sieve_stages(sieve, lo: int, hi: int, reps: int = 5) -> tuple[dict, bool, bo
     if got != [hashlib.sha256(v).digest()
                for v in module.lambda_segment(module.Segment(lo, hi), base)]:
         raise AssertionError(f"the sieve's stages differ from lambda_segment on ({lo}, {hi}]")
-    return times, rounds, copied
+    return times, rounds
 
 
 def one_round(path: str) -> dict:
     """The timings of one path in this process, the segment sizes timed and
     the process's peak RSS in MB."""
     from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum, sweep
-    from psimoment.sieve import DEFAULT_SEGMENT_SIZE, MangoldtSieve
+    from psimoment.sieve import MangoldtSieve
 
     if path == "numpy":
         sweep._kernel = False
@@ -239,12 +160,9 @@ def one_round(path: str) -> dict:
     sweep.fold_powers = timed_fold_powers
     body = sweep._sweep_numpy if path == "numpy" else (
         lambda *args: sweep._sweep_kernel(sweep._kernel, *args))
-    # A tree from before default_segment_size ran every default run at its
-    # DEFAULT_SEGMENT_SIZE.
-    default_size = getattr(sweep, "default_segment_size", lambda *run: DEFAULT_SEGMENT_SIZE)
     out, sizes, large = {}, {}, {}
     for mode, X, p in SEGMENTS:
-        size = default_size(mode, X, p)
+        size = sweep.default_segment_size(mode, X, p)
         task = [t for t in sweep.tasks(mode, X, p, (2, 4, 6), size) if t[1] - t[0] == size][-1]
         sieve = MangoldtSieve()
         span = sweep.sieve_range(*task[:4])
@@ -255,7 +173,7 @@ def one_round(path: str) -> dict:
         key = f"{mode.split('-')[0]}@{X:.0e}"
         sizes[key] = size
         out[key + ".sieve_s"] = clock(lambda: sieve.events(*span), 5)
-        stages, rounds, copied = sieve_stages(sieve, *span)
+        stages, rounds = sieve_stages(sieve, *span)
         out.update({f"{key}.stage.{name}_s": t for name, t in stages.items()})
         large[key] = "rounds" if rounds else "slices"
         out[key + ".sweep_s"] = clock(lambda: sweep.sweep_segment(ws, task), 5)
@@ -279,8 +197,7 @@ def one_round(path: str) -> dict:
                     ("scaled-integral", lambda: moment_integral_scaled(1e8, 1e-4, [2, 4, 6]))]:
         out[f"e2e.{name}@1e8_s"] = clock(f)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
-    return {"times": out, "sizes": sizes, "large": large,
-            "stages": "copied" if copied else "tree", "maxrss_mb": round(peak, 2)}
+    return {"times": out, "sizes": sizes, "large": large, "maxrss_mb": round(peak, 2)}
 
 
 def iqr(xs) -> float:
@@ -299,7 +216,8 @@ def main() -> None:
     parser.add_argument("number", nargs="?", help="write BENCH_<number>.json")
     parser.add_argument("--runs", type=int, default=11, help="rounds per side (default 11)")
     parser.add_argument("--against", metavar="TREE",
-                        help="time TREE (a checkout of the parent commit) against this tree")
+                        help="time TREE (a checkout of the parent commit, from e5848ca "
+                        "on) against this tree")
     parser.add_argument("--round", choices=PATHS, help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.round:
@@ -342,7 +260,6 @@ def main() -> None:
         "command": command, "commit": describe(ROOT), "runs_each": args.runs,
         "median_s": med, "iqr_s": spread, "segment_size": sizes,
         "sieve_large": {side: rs[0]["large"] for side, rs in rounds.items()},
-        "sieve_stages": {side: rs[0]["stages"] for side, rs in rounds.items()},
         "maxrss_mb": {side: [r["maxrss_mb"] for r in rs] for side, rs in rounds.items()},
         f"ratio_{second}_over_{first}": ratio,
     }
