@@ -55,15 +55,15 @@ def _call_worker(task):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
-def order_sum(k: int, values) -> float:
-    """The math.fsum of order k's values; NumericRangeError where it overflows."""
+def checked_fsum(what: str, values) -> float:
+    """The math.fsum of values; NumericRangeError, naming what, where it overflows."""
     # fsum raises OverflowError past float64 and ValueError on inf - inf.
     try:
         total = math.fsum(values)
     except (OverflowError, ValueError) as exc:
-        raise NumericRangeError(f"order-{k} partial sum overflowed: {exc}") from exc
+        raise NumericRangeError(f"{what} overflowed: {exc}") from exc
     if not math.isfinite(total):
-        raise NumericRangeError(f"order-{k} partial sum overflowed: {total}")
+        raise NumericRangeError(f"{what} overflowed: {total}")
     return total
 
 
@@ -158,4 +158,5 @@ def run_tasks(
     if len(done) < len(tasks):
         raise LongRunError(refusal)
 
-    return {k: order_sum(k, (done[i][k] for i in range(len(tasks)))) for k in ks}
+    return {k: checked_fsum(f"order-{k} partial sum", (done[i][k] for i in range(len(tasks))))
+            for k in ks}

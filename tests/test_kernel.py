@@ -224,24 +224,42 @@ class Heavy(MangoldtSieve):
         return ns, np.full(len(ws), self.weight)
 
 
-@pytest.mark.parametrize("weight", [1e60, 10**74.95, 10**75.05, 1e200])
+def fixed_outcomes(weight, threads=1):
+    """Each fixed mode's moments on Heavy(weight), or its NumericRangeError."""
+    got = []
+    for f, X in [(psimoment.moment_integral_fixed, 1e4), (psimoment.moment_sum, 10**4)]:
+        try:
+            got.append(f(X, 100, [2, 4], sieve=Heavy(weight), segment_size=1000,
+                         threads=threads))
+        except NumericRangeError as exc:
+            got.append(str(exc))
+    return got
+
+
+@pytest.mark.parametrize("weight", [1e60, 10**74.95, 10**75.05, 1e200, 1e308])
 def test_overflowing_order_ends_as_on_numpy(compiled, weight):
     # Terms that overflow to inf or NaN, or finite parts whose sum does,
-    # within a segment (10**75.05) or only across segments (10**74.95):
-    # the kernel's sums leave them to order_sum, so a run ends as on the
-    # numpy path, in NumericRangeError past 1e60.
-    def outcome():
-        try:
-            return psimoment.moment_integral_fixed(1e4, 100, [2, 4], sieve=Heavy(weight),
-                                                   segment_size=1000)
-        except NumericRangeError as exc:
-            return str(exc)
-
-    got = outcome()
+    # within a segment (10**75.05) or only across segments (10**74.95), or
+    # a window weight that does (1e308): the kernel's sums leave them to
+    # checked_fsum, and its window weight to the numpy path, so a run ends
+    # as on the numpy path, in NumericRangeError past 1e60.
+    got = fixed_outcomes(weight)
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(sweep, "_kernel", False)
-        assert got == outcome()
-    assert isinstance(got, dict) if weight == 1e60 else "overflowed" in got
+        assert got == fixed_outcomes(weight)
+    for one in got:
+        assert isinstance(one, dict) if weight == 1e60 else "overflowed" in one
+
+
+def test_overflowing_window_weight_ends_alike_on_a_pool(compiled):
+    # Every segment's window weight overflows, and alike: whichever segment
+    # a pool ends on, the run ends as a serial one does, on either path.
+    want = ["window weight overflowed: intermediate overflow in fsum"] * 2
+    assert fixed_outcomes(1e308) == want
+    assert fixed_outcomes(1e308, threads=2) == want
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "_kernel", False)
+        assert fixed_outcomes(1e308, threads=2) == want
 
 
 def test_kernel_refuses_short_buffers(compiled):

@@ -1,16 +1,14 @@
-"""Time the sieve and the piece sweep by layer, on two paths or two trees.
+"""Time the sieve and the piece sweep by layer, in a parent tree and this one.
 
-    python3 tools/bench_layers.py 20            # writes BENCH_20.json
-    python3 tools/bench_layers.py 20 --runs 5   # fewer rounds per side
-    python3 tools/bench_layers.py 21 --against ../parent   # parent against change
+    python3 tools/bench_layers.py 21 --against ../parent   # writes BENCH_21.json
+    python3 tools/bench_layers.py 21 --against ../parent --runs 5   # fewer rounds
 
-Run it from the repository root.  Each round is a fresh process that imports
-psimoment from a tree's src and times one path there.  Without --against the
-two sides are this tree's numpy path (the kernel turned off) and its kernel;
-with --against TREE they are TREE and this tree, both on the kernel, which
-is what a run uses.  The rounds of the two sides alternate, and the file
-holds each timing's median and interquartile range over the rounds and the
-ratio of the two sides' medians.
+Run it from the repository root; --against TREE, a checkout of the parent
+commit, is required.  Each round is a fresh process that imports psimoment
+from one tree's src and times it on the compiled kernel, which is what a
+run uses.  The rounds of the two sides, TREE and this tree, alternate, and
+the file holds each timing's median and interquartile range over the rounds
+and the ratio of the two sides' medians.
 
 A round times, on the last full segment of each side's default size below
 X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
@@ -19,12 +17,9 @@ X = 1e8, 1e10 and 1e11 of a fixed window (h = 1e5) and of a scaled one
 * sieve_s: the segment's one sieve call;
 * sweep_s: sweep_segment without the sieve (a sieve that hands back the
   stored arrays);
-* events_s: window_events alone, the part of sweep_s before either path;
-* body_s: the path's own work after window_events, the parts of every
-  order (_sweep_numpy or _sweep_kernel);
-* fold_s (numpy path only): the share of body_s in fold_powers, the powers
-  and TwoSum folds; the rest of body_s is the merge, the cumsum and the
-  pieces;
+* body_s: _sweep_kernel alone, the kernel's call with the window weight
+  and every order's parts and sums; the rest of sweep_s is window_events
+  and the call's set-up;
 * stage.<stage>_s: each stage of the sieve call, run one at a time by the
   sieve module's own function for it, as lambda_segment runs them, and
   held to its output: wheel (the mask tiled from the wheel), small (the
@@ -43,6 +38,8 @@ and, on one process, once each:
 
 Each round also reports its process's peak RSS (ru_maxrss) once it is
 done, and the file holds each side's list of them, in MB, in maxrss_mb.
+That is the round's peak, which the 1e12 range sweeps set, and not one
+segment's: perfbench's peak_rss_mb is the memory of a run.
 
 The file records each side's segment sizes; where the two sides' sizes
 differ, the ratio of a segment's timings is taken per integer.
@@ -69,7 +66,6 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEGMENTS = [("fixed-integral", 10**8, 10**5), ("scaled-integral", 10**8, 1e-4),
             ("fixed-integral", 10**10, 10**5), ("scaled-integral", 10**10, 1e-5),
             ("fixed-integral", 10**11, 10**5), ("scaled-integral", 10**11, 1e-5)]
-PATHS = ("numpy", "kernel")
 # (mode, X, param, the log2 segment sizes whose sweeps of the last RANGE
 # integers below X are timed)
 RANGES = [("scaled-integral", 10**11, 1e-5, (21, 22, 24)),
@@ -131,15 +127,14 @@ def sieve_stages(sieve, lo: int, hi: int, reps: int = 5) -> tuple[dict, bool]:
     return times, rounds
 
 
-def one_round(path: str) -> dict:
-    """The timings of one path in this process, the segment sizes timed and
-    the process's peak RSS in MB."""
+def one_round() -> dict:
+    """The timings of this process's tree, the segment sizes timed and the
+    process's peak RSS in MB."""
     from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum, sweep
     from psimoment.sieve import MangoldtSieve
 
-    if path == "numpy":
-        sweep._kernel = False
-    elif not sweep.load_kernel():
+    fn = sweep.load_kernel()
+    if not fn:
         sys.exit("the compiled kernel did not build, load or pass its check")
 
     class Stored:  # hands back one sieve call's arrays: the sweep without the sieve
@@ -149,17 +144,6 @@ def one_round(path: str) -> dict:
         def events(self, lo, hi):
             return self.arrays
 
-    folding = [0.0]
-    fold_powers = sweep.fold_powers
-
-    def timed_fold_powers(*args):
-        t = time.perf_counter()
-        fold_powers(*args)
-        folding[0] += time.perf_counter() - t
-
-    sweep.fold_powers = timed_fold_powers
-    body = sweep._sweep_numpy if path == "numpy" else (
-        lambda *args: sweep._sweep_kernel(sweep._kernel, *args))
     out, sizes, large = {}, {}, {}
     for mode, X, p in SEGMENTS:
         size = sweep.default_segment_size(mode, X, p)
@@ -177,12 +161,8 @@ def one_round(path: str) -> dict:
         out.update({f"{key}.stage.{name}_s": t for name, t in stages.items()})
         large[key] = "rounds" if rounds else "slices"
         out[key + ".sweep_s"] = clock(lambda: sweep.sweep_segment(ws, task), 5)
-        out[key + ".events_s"] = clock(lambda: sweep.window_events(*task[:4], ws.sieve), 5)
-        folding[0] = 0.0
-        out[key + ".body_s"] = clock(lambda: body(events, task, ws.buffers(), sweep.BLOCK), 5)
-        if path == "numpy":
-            out[key + ".fold_s"] = folding[0] / 5
-    sweep.fold_powers = fold_powers
+        out[key + ".body_s"] = clock(
+            lambda: sweep._sweep_kernel(fn, events, task, ws.buffers(), sweep.BLOCK), 5)
     for mode, X, p, log2s in RANGES:
         delta, beta = sweep.WINDOWS[mode][1](X, p)[2:]
         for n in log2s:
@@ -217,26 +197,21 @@ def main() -> None:
     parser.add_argument("--runs", type=int, default=11, help="rounds per side (default 11)")
     parser.add_argument("--against", metavar="TREE",
                         help="time TREE (a checkout of the parent commit, from e5848ca "
-                        "on) against this tree")
-    parser.add_argument("--round", choices=PATHS, help=argparse.SUPPRESS)
+                        "on) against this tree (required)")
+    parser.add_argument("--round", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.round:
-        print(json.dumps(one_round(args.round)))
+        print(json.dumps(one_round()))
         return
-    if not args.number or args.runs < 2:
-        parser.error("give the BENCH file's number and at least 2 runs")
-    # side -> (the tree whose src it imports, the path it takes)
-    if args.against:
-        sides = {"parent": (os.path.abspath(args.against), "kernel"),
-                 "change": (ROOT, "kernel")}
-    else:
-        sides = {path: (ROOT, path) for path in PATHS}
+    if not args.number or not args.against or args.runs < 2:
+        parser.error("give the BENCH file's number, --against TREE and at least 2 runs")
+    # side -> the tree whose src it imports
+    sides = {"parent": os.path.abspath(args.against), "change": ROOT}
     rounds = {side: [] for side in sides}
     for i in range(args.runs):
         for side in list(sides)[:: 1 if i % 2 == 0 else -1]:
-            tree, path = sides[side]
-            env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"))
-            done = subprocess.run([sys.executable, os.path.abspath(__file__), "--round", path],
+            env = dict(os.environ, PYTHONPATH=os.path.join(sides[side], "src"))
+            done = subprocess.run([sys.executable, os.path.abspath(__file__), "--round"],
                                   env=env, capture_output=True, text=True, check=True)
             rounds[side].append(json.loads(done.stdout))
     med = {side: {k: statistics.median(r["times"][k] for r in rs) for k in rs[0]["times"]}
@@ -244,27 +219,23 @@ def main() -> None:
     spread = {side: {k: iqr([r["times"][k] for r in rs]) for k in rs[0]["times"]}
               for side, rs in rounds.items()}
     sizes = {side: rs[0]["sizes"] for side, rs in rounds.items()}
-    first, second = sides
     ratio = {}
-    for k in med[second].keys() & med[first].keys():
+    for k in med["change"].keys() & med["parent"].keys():
         segment = k.rsplit(".", 1)[0]
-        per = sizes[first].get(segment, 1) / sizes[second].get(segment, 1)
-        ratio[k] = med[second][k] / med[first][k] * per
+        per = sizes["parent"].get(segment, 1) / sizes["change"].get(segment, 1)
+        ratio[k] = med["change"][k] / med["parent"][k] * per
     numpy_version = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
                                    capture_output=True, text=True).stdout.strip()
-    command = f"python3 tools/bench_layers.py {args.number} --runs {args.runs}"
-    if args.against:
-        command += " --against <parent tree>"
     report = {
         "machine": f"{os.cpu_count()} vCPU, Python {sys.version.split()[0]}, numpy {numpy_version}",
-        "command": command, "commit": describe(ROOT), "runs_each": args.runs,
+        "command": f"python3 tools/bench_layers.py {args.number} --runs {args.runs} "
+                   "--against <parent tree>",
+        "commit": describe(ROOT), "parent": describe(sides["parent"]), "runs_each": args.runs,
         "median_s": med, "iqr_s": spread, "segment_size": sizes,
         "sieve_large": {side: rs[0]["large"] for side, rs in rounds.items()},
         "maxrss_mb": {side: [r["maxrss_mb"] for r in rs] for side, rs in rounds.items()},
-        f"ratio_{second}_over_{first}": ratio,
+        "ratio_change_over_parent": ratio,
     }
-    if args.against:
-        report["parent"] = describe(sides["parent"][0])
     with open(os.path.join(ROOT, f"BENCH_{args.number}.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
