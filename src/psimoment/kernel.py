@@ -180,7 +180,7 @@ def build_checked(directory: str, name: str, check):
     return fn, path
 
 
-def load(check=lambda fn: None):
+def load(check):
     """(psimoment_sweep as a ctypes function, its library's path).
 
     check(fn) returns what is wrong with a loaded kernel, or None.  A cached

@@ -1,9 +1,9 @@
 """Segment-parallel execution with a deterministic reduction.
 
-Workers own disjoint segments and return per-order partial sums; the
-reduction is one math.fsum per order, correctly rounded and so independent of
-the order the partials arrive in: the result is bit-identical for any worker
-count and across checkpoint resumes.
+Workers own disjoint segments and return per-order partial sums, which a pool
+hands back in segment order too: a pooled run's value, error and checkpoint
+records are a serial run's.  The reduction, one math.fsum per order, is
+correctly rounded, so a resumed run's result is bit-identical as well.
 
 A pool gets the worker once per process, through its initializer, and each
 task then carries only its own arguments: whatever the worker holds (a sieve
@@ -13,13 +13,13 @@ every task that process runs.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import logging
 import math
 import os
 import signal
 import time
-from concurrent.futures import FIRST_COMPLETED, wait  # loads only concurrent.futures._base
 from typing import Any, Callable, Sequence
 
 from .checkpoint import CheckpointWriter, load
@@ -135,21 +135,21 @@ def run_tasks(
                 if not finish(i, worker(tasks[i])):
                     break
         else:
-            # The pool machinery (multiprocessing, socket, subprocess: ~1 MB RSS
+            # The pool machinery (concurrent.futures, multiprocessing: ~1 MB RSS
             # and ~18 ms of import) loads only here; a serial run never pays for it.
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(workers, initializer=_set_worker, initargs=(worker,))
             try:
                 queue = iter(pending)
-                running = {pool.submit(_call_worker, tasks[i]): i
-                           for i in itertools.islice(queue, TASKS_PER_WORKER * workers)}
+                # Oldest first, as a serial run; the younger keep the workers busy.
+                running = collections.deque((i, pool.submit(_call_worker, tasks[i])) for i in
+                                            itertools.islice(queue, TASKS_PER_WORKER * workers))
                 while running:
-                    finished, _ = wait(running, return_when=FIRST_COMPLETED)
-                    for fut in sorted(finished, key=running.get):
-                        j = next(queue, None) if finish(running.pop(fut), fut.result()) else None
-                        if j is not None:
-                            running[pool.submit(_call_worker, tasks[j])] = j
+                    i, fut = running.popleft()
+                    j = next(queue, None) if finish(i, fut.result()) else None
+                    if j is not None:
+                        running.append((j, pool.submit(_call_worker, tasks[j])))
             finally:
                 pool.shutdown(cancel_futures=True)  # on an error, drop the tasks not started
     finally:

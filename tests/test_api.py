@@ -79,7 +79,8 @@ def test_src_names_have_src_readers():
 FOOTPRINT = """
 import sys
 import psimoment, psimoment.cli
-LAZY = ("hashlib", "_hashlib", "concurrent.futures.process", "multiprocessing")
+LAZY = ("hashlib", "_hashlib", "concurrent.futures", "concurrent.futures.process",
+        "multiprocessing")
 psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256)
 print(*[name for name in LAZY if name in sys.modules])
 psimoment.moment_integral_fixed(1000.0, 10.0, [2, 4], segment_size=256,
@@ -100,7 +101,7 @@ def test_serial_run_loads_no_hashlib_or_pool(tmp_path):
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == [
-        "", "", "concurrent.futures.process multiprocessing", ""]
+        "", "", "concurrent.futures concurrent.futures.process multiprocessing", ""]
 
 
 HUGE = 10**400  # an int past the float range

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 import types
-from concurrent.futures import Future, wait
+from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
@@ -197,6 +197,10 @@ def test_load_rejects_garbage(tmp_path):
                     + '\n{"segment": 0, "val\n{"segment": 1, "values": {}}\n')
     with pytest.raises(CheckpointError, match="damaged"):
         load(str(path), "digest")
+    # A header of another format version.
+    path.write_text(json.dumps({"version": 2, "digest": "digest"}) + "\n")
+    with pytest.raises(CheckpointError, match="checkpoint version 2 != 1"):
+        load(str(path), "digest")
 
 
 def test_runner_overflow_raises():
@@ -268,6 +272,19 @@ def test_runner_resume_refuses_a_file_without_a_header(tmp_path, text):
     assert path.read_text() == text
 
 
+def test_runner_refuses_no_threads_and_unknown_segments(tmp_path):
+    with pytest.raises(ValueError, match="threads must be >= 1"):
+        run_tasks(_value_worker, CANCELLING, [2], threads=0)
+    # A checkpoint that records a segment past this run's three.
+    path = str(tmp_path / "ck.jsonl")
+    writer = CheckpointWriter(path, "d", fresh=True)
+    writer.append(3, {2: 1.0})
+    writer.close()
+    with pytest.raises(CheckpointError, match=r"unknown segments \[3\]"):
+        run_tasks(_value_worker, CANCELLING, [2], checkpoint_path=path, resume=True,
+                  digest="d")
+
+
 @given(st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=200))
 def test_runner_reduction_is_fsum(xs):
     got = run_tasks(lambda i: {2: xs[i]}, range(len(xs)), [2])
@@ -310,24 +327,28 @@ class _CountingPool:
         return fut
 
 
-def test_runner_pool_linear_in_segments(monkeypatch):
-    # 8192 segments on 2 workers: each completion waits on the few futures in
-    # flight, so the work per completion does not grow with the run.  Waiting
-    # on the whole remaining set after every completion was quadratic.
-    handed = []
+def _late_and_early_failures(task):
+    # Segment 3 fails after segment 5 has, on a pool whose workers share them.
+    if task == 3:
+        time.sleep(0.5)
+        raise RuntimeError("segment 3")
+    if task == 5:
+        raise RuntimeError("segment 5")
+    return {2: float(task)}
 
-    def counted_wait(fs, **kwargs):
-        handed.append(len(fs))
-        return wait(fs, **kwargs)
 
-    # The runner looks the pool up in concurrent.futures on its pool branch.
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _CountingPool)
-    monkeypatch.setattr(runner, "_worker", None)  # the fake pool sets it here
-    monkeypatch.setattr(runner, "wait", counted_wait)
-    n = 1 << 13
-    got = run_tasks(lambda i: {2: float(i)}, range(n), [2], threads=2)
-    assert got[2] == n * (n - 1) / 2
-    assert handed and max(handed) <= 2 * runner.TASKS_PER_WORKER, max(handed)
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runner_fails_and_records_in_segment_order(threads, tmp_path):
+    # A pool takes its results in segment order, as a serial run does: the
+    # run raises the first failing segment's error, not the first to fail,
+    # and has recorded the segments before it, in order.  Taking them in
+    # completion order raised "segment 5" and recorded [0, 1, 2, 4].
+    path = tmp_path / "ck.jsonl"
+    with pytest.raises(RuntimeError, match="segment 3"):
+        run_tasks(_late_and_early_failures, range(10), [2], threads=threads,
+                  checkpoint_path=str(path))
+    records = [json.loads(line)["segment"] for line in path.read_text().splitlines()[1:]]
+    assert records == [0, 1, 2]
 
 
 def _recording_pools(monkeypatch):

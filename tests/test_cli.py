@@ -351,7 +351,8 @@ def test_ctrl_c_exits_130(checkpoint, monkeypatch, tmp_path, capsys):
 def test_usage_error_exit_code():
     for args in (["fixed", "--x", "100"],  # missing --h
                  # without --checkpoint there is nothing to resume from
-                 ["scaled", "--x", "100", "--delta", "0.1", "--resume"]):
+                 ["scaled", "--x", "100", "--delta", "0.1", "--resume"],
+                 ["scaled", "--x", "100", "--delta", "0.1", "--k", "2,x"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(args)
         assert exc.value.code == 2
@@ -367,7 +368,9 @@ def test_domain_error_exit_code(capsys):
                  ["reproduce", "ms-table", "--segment-size", "1"],
                  # one segment of 10^9 integers: refused before it is sieved
                  ["scaled", "--x", "1e9", "--delta", "1e-4",
-                  "--segment-size", "1000000000"]):
+                  "--segment-size", "1000000000"],
+                 ["predict", "--formula", "cramer", "--x", "1e10"],  # no --h
+                 ["sieve", "--limit", "1"]):
         code, out, err = run_cli(args, capsys)
         assert code == 2, args
         assert err.startswith("error: "), args

@@ -51,6 +51,15 @@ def test_moment_sum_domain_errors():
         moment_sum(10, 2, [])
     with pytest.raises(ValueError):
         moment_sum(10, 2, [17])
+    with pytest.raises(ValueError, match="integer X and h"):
+        moment_sum(10.5, 2, [2])
+
+
+def test_integral_fixed_domain_errors():
+    with pytest.raises(ValueError, match="need 0 <= h <= X"):
+        moment_integral_fixed(10.0, 11.0, [2])
+    with pytest.raises(ValueError, match="X must be >= 1"):
+        moment_integral_fixed(0.5, 0.1, [2])
 
 
 def test_integral_fixed_h_zero():

@@ -242,8 +242,10 @@ def test_overflowing_order_ends_as_on_numpy(compiled, weight):
     # within a segment (10**75.05) or only across segments (10**74.95), or
     # a window weight that does (1e308): the kernel's sums leave them to
     # checked_fsum, and its window weight to the numpy path, so a run ends
-    # as on the numpy path, in NumericRangeError past 1e60.
+    # as on the numpy path, in NumericRangeError past 1e60.  A pool takes
+    # its segments' results in order, so it ends with the serial message.
     got = fixed_outcomes(weight)
+    assert fixed_outcomes(weight, threads=2) == got
     with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
         patch.setattr(sweep, "_kernel", False)
         assert got == fixed_outcomes(weight)
@@ -252,8 +254,8 @@ def test_overflowing_order_ends_as_on_numpy(compiled, weight):
 
 
 def test_overflowing_window_weight_ends_alike_on_a_pool(compiled):
-    # Every segment's window weight overflows, and alike: whichever segment
-    # a pool ends on, the run ends as a serial one does, on either path.
+    # Every segment's window weight overflows: a pool ends on the first
+    # segment's error, as a serial run does, on either path.
     want = ["window weight overflowed: intermediate overflow in fsum"] * 2
     assert fixed_outcomes(1e308) == want
     assert fixed_outcomes(1e308, threads=2) == want
@@ -351,7 +353,10 @@ def test_missing_compiler_falls_back_to_numpy(monkeypatch, caplog, tmp_path):
     # A library without the function.
     ("double psimoment_sweep(", "double psimoment_renamed(",
      r"sweep: numpy path; the compiled kernel did not build or load: .*psimoment_sweep"),
-], ids=["wrong-bits", "no-symbol"])
+    # A source that does not compile.
+    ("double psimoment_sweep(", "double psimoment_sweep(undeclared_type t,",
+     r"sweep: numpy path; the compiled kernel did not build or load: cc exited \d+: "),
+], ids=["wrong-bits", "no-symbol", "no-compile"])
 def test_broken_kernel_falls_back_to_numpy(monkeypatch, caplog, tmp_path, old, new, line):
     source = Path(kernel.SOURCE).read_text()
     assert old in source

@@ -108,6 +108,23 @@ def test_scaled_main_term_odd_k_zero():
     assert scaled_main_term(1e8, 1e-4, 3) == 0.0
 
 
+def test_fixed_main_terms_odd_k_zero():
+    assert fixed_main_term(1e10, 1e5, 3) == 0.0
+    assert fixed_main_term_from_one(1e10, 1e5, 5) == 0.0
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: poly_exp_integral(1.0, 9), "polynomial degree"),
+    (lambda: fixed_main_term(1e8, 0.0, 2), "must be positive"),
+    (lambda: scaled_main_term(-1.0, 1e-4, 2), "must be positive"),
+    (lambda: fixed_main_term_from_one(1e8, 0.5, 2), "must be >= 1"),
+    (lambda: cramer_variance(10.0, 20.0), "need 1 <= h <= N"),
+], ids=["poly-exp", "fixed", "scaled", "from-one", "cramer"])
+def test_predictors_domain_errors(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_scaled_main_term_domain():
     with pytest.raises(ValueError):
         scaled_main_term(1e8, 1.0 / CONSTANTS.norm_scale, 2)

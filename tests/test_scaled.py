@@ -41,6 +41,8 @@ def test_domain_errors():
         moment_integral_scaled(100, 1.5, [2])
     with pytest.raises(ValueError):
         moment_integral_scaled(100, 0.1, [])
+    with pytest.raises(ValueError, match="X must be >= 1"):
+        moment_integral_scaled(0.5, 0.1, [2])
 
 
 # window_events(1, up(X), ...) returns the events of x in (1, X]: those below

@@ -54,6 +54,11 @@ def test_small_primes_empty_domain():
         small_primes(1)
 
 
+def test_events_refuse_an_invalid_segment():
+    with pytest.raises(ValueError, match=r"invalid segment \(-1, 10\]"):
+        MangoldtSieve().events(-1, 10)
+
+
 def test_lambda_segment_1_to_10():
     ns, ws = lambda_segment(Segment(1, 10), small_primes(4))
     assert ns.tolist() == [2, 3, 4, 5, 7, 8, 9]

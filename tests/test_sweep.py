@@ -309,6 +309,29 @@ def test_base_primes_built_once_per_pool_process(monkeypatch, tmp_path):
     assert 1 <= len(builds.read_text().split()) <= 2
 
 
+STARTED_POOL = """
+import multiprocessing, sys
+from psimoment import moment_integral_scaled
+multiprocessing.set_start_method(sys.argv[1])
+got = moment_integral_scaled(2e5, 0.01, [2, 4], segment_size=8192, threads=2)
+print(*[value.hex() for value in got.values()])
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_pool_started_without_fork(method):
+    # The start method of macOS and Windows, and Linux's default from
+    # Python 3.14: each pool process imports the worker afresh instead of
+    # inheriting it, and the run keeps the serial run's bits.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on {sys.platform}")
+    run = subprocess.run([sys.executable, "-c", STARTED_POOL, method],
+                         env={**os.environ, "PYTHONPATH": SRC}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    want = moment_integral_scaled(2e5, 0.01, [2, 4], segment_size=8192)
+    assert run.stdout.split() == [value.hex() for value in want.values()]
+
+
 def test_base_primes_grow_by_doubling(monkeypatch):
     # Past 2^32 each full 2^22 segment of the 1e10 ms-table needs ~21 more in
     # isqrt(hi): growing the base primes to exactly that rebuilt them (and
