@@ -2,9 +2,9 @@
 
 A checkpoint file starts with a header record carrying a digest of the run
 config, followed by one record per completed segment holding its per-order
-partial sums as hex floats.  Hex floats round-trip exactly, and the final
-reduction is recomputed from the records in segment order, so a resumed run
-is bit-identical to an uninterrupted one.
+partial sums as hex floats.  Hex floats round-trip exactly, and a resume
+adds the records' values into the same exact sums as a run that computed
+them, so a resumed run is bit-identical to an uninterrupted one.
 
 Each record is one newline-terminated line, written and fsynced in one
 append.  A crash in the middle of an append leaves a final line without its
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import os
-from typing import Any
+from typing import Any, Callable
 
 from .errors import CheckpointError
 
@@ -49,44 +49,46 @@ def config_digest(payload: dict[str, Any]) -> str:
     return sha256(canon.encode()).hexdigest()
 
 
-def load(path: str, digest: str) -> dict[int, dict[int, float]]:
-    """Completed segment values from path, keyed segment index -> {k: value}.
-
-    Raises CheckpointError on version or digest mismatch, or on a record
-    that is damaged anywhere but at the torn end of the file.
+def load(path: str, digest: str, record: Callable[[int, dict[int, float]], None]) -> bool:
+    """Hand each completed segment of path, read one line at a time, to
+    record(segment, {k: value}); False where path is missing or has 0 bytes
+    (a run stopped before its header reached the disk), else True.  Raises
+    CheckpointError on version or digest mismatch, or on a record that is
+    damaged anywhere but at the torn end of the file.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    complete = data.rfind(b"\n") + 1  # bytes up to the last whole line
-    lines = data[:complete].decode().splitlines()
-    if not lines:
-        raise CheckpointError(f"{path}: empty checkpoint file")
     try:
-        header = json.loads(lines[0])
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(
-                f"{path}: checkpoint version {header.get('version')} != "
-                f"{CHECKPOINT_VERSION}"
-            )
-        if header.get("digest") != digest:
-            raise CheckpointError(
-                f"{path}: config digest mismatch; refusing to resume"
-            )
-        done = {}
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            done[int(rec["segment"])] = {
-                int(k): float.fromhex(v) for k, v in rec["values"].items()
-            }
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise CheckpointError(f"{path}: damaged checkpoint record: {exc}") from exc
-    if complete < len(data):
-        log.warning("%s: dropping a torn final record of %d bytes",
-                    path, len(data) - complete)
-        os.truncate(path, complete)
-    return done
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return False
+    end = torn = 0  # the bytes up to the last whole line, and past it
+    with fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                torn = len(line)
+                break
+            header, end = not end, end + len(line)
+            try:
+                rec = json.loads(line) if header or line.strip() else None
+                if header and rec.get("version") != CHECKPOINT_VERSION:
+                    raise CheckpointError(f"{path}: checkpoint version {rec.get('version')} "
+                                          f"!= {CHECKPOINT_VERSION}")
+                if header and rec.get("digest") != digest:
+                    raise CheckpointError(f"{path}: config digest mismatch; refusing to resume")
+                if header or not line.strip():  # a blank line between records
+                    continue
+                segment = rec["segment"]
+                if type(segment) is not int:
+                    raise TypeError(f"segment {segment!r} is not an integer")
+                values = {int(k): float.fromhex(v) for k, v in rec["values"].items()}
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise CheckpointError(f"{path}: damaged checkpoint record: {exc}") from exc
+            record(segment, values)
+    if torn and not end:
+        raise CheckpointError(f"{path}: empty checkpoint file")
+    if torn:
+        log.warning("%s: dropping a torn final record of %d bytes", path, torn)
+        os.truncate(path, end)
+    return end > 0
 
 
 class CheckpointWriter:

@@ -3,15 +3,11 @@
 The C source ships next to this module.  load() compiles it with the system
 C compiler into a per-user cache directory ($XDG_CACHE_HOME/psimoment, else
 ~/.cache/psimoment, else psimoment-<uid> in the temp directory) and loads it
-from there.  The file name carries a CRC-32 of the source, the flags, the
-compiler's name and the machine, so a changed source or flag builds a new
-library.  A build removes the directory's other libraries only once they are
-a day old, so trees whose sources differ can share the cache without
-rebuilding each other's.  A build is loaded under a name of its own and then
-published by an atomic rename, so concurrent first runs never load a
-half-written file; a build that does not load or pass its check is not
-published, and a marker keeps later processes from building it again for a
-day.
+from there, under a name that changes with the source, the flags, the
+compiler and the machine (library_name).  Trees whose sources differ share
+the cache without rebuilding each other's (remove_stale), concurrent first
+runs never load a half-written file, and a build that fails is not
+repeated for a day (build_checked).
 
 A library runs its constructors when it loads, before any check of its
 numbers, so only this user's own files are loaded: a directory or library

@@ -2,8 +2,8 @@
 
 Workers own disjoint segments and return per-order partial sums, which a pool
 hands back in segment order too: a pooled run's value, error and checkpoint
-records are a serial run's.  The reduction, one math.fsum per order, is
-correctly rounded, so a resumed run's result is bit-identical as well.
+records are a serial run's.  Each order's sum runs exactly, by math.fsum's
+own step, and is correctly rounded, so a resumed run's is bit-identical too.
 
 A pool gets the worker once per process, through its initializer, and each
 task then carries only its own arguments: whatever the worker holds (a sieve
@@ -17,7 +17,6 @@ import collections
 import itertools
 import logging
 import math
-import os
 import signal
 import time
 from typing import Any, Callable, Sequence
@@ -67,12 +66,23 @@ def checked_fsum(what: str, values) -> float:
     return total
 
 
-def _recorded_nothing(path: str) -> bool:
-    """Whether the checkpoint at path is missing or has 0 bytes."""
-    try:
-        return os.path.getsize(path) == 0
-    except FileNotFoundError:
-        return True
+def fsum_step(partials: list[float], x: float, what: str) -> None:
+    """Add x to partials by math.fsum's own exact step (Shewchuk, Discrete
+    Comput. Geom. 18 (1997)): math.fsum(partials) is then the fsum of the
+    values added.  NumericRangeError, naming what, where x or the sum is not finite."""
+    i = 0
+    for y in partials:
+        if abs(x) < abs(y):
+            x, y = y, x
+        hi = x + y
+        lo = y - (hi - x)
+        if lo:
+            partials[i] = lo
+            i += 1
+        x = hi
+    if not math.isfinite(x):
+        raise NumericRangeError(f"{what} overflowed: {x}")
+    partials[i:] = [x]
 
 
 def run_tasks(
@@ -87,48 +97,62 @@ def run_tasks(
 ) -> dict[int, float]:
     """Run worker over tasks; return each k's partials summed by math.fsum.
 
-    A run projected past limit seconds hands out no further task, records
-    the ones it has handed out and stops with LongRunError.  A resume from a
-    missing or 0-byte checkpoint is a run with nothing recorded; a non-empty
-    file without a valid header is refused by load.
+    The sums run in segment order through fsum_step, so a run keeps no state
+    per segment but the indices it resumed.  A resumed record of a segment
+    not in tasks or recorded twice, or of orders not ks, is a CheckpointError
+    as it is read.  A run projected past limit seconds hands out no further
+    task, records the ones it has handed out and stops with LongRunError.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    done: dict[int, dict[int, float]] = {}
-    if checkpoint_path and resume and _recorded_nothing(checkpoint_path):
-        # A run stopped before its header reached the disk recorded nothing;
-        # the writer starts the file.
-        log.info("%s: missing or empty, nothing to resume; starting at segment 0",
-                 checkpoint_path)
-    elif checkpoint_path and resume:
-        done = load(checkpoint_path, digest)
-        extra = set(done) - set(range(len(tasks)))
-        if extra:
-            raise CheckpointError(f"checkpoint has unknown segments {sorted(extra)}")
-        log.info("resuming: %d of %d segments already done", len(done), len(tasks))
+    sums: dict[int, list[float]] = {k: [] for k in ks}
+    recorded: set[int] = set()
+
+    def add(partials: dict[int, float]) -> None:
+        for k, running in sums.items():
+            fsum_step(running, partials[k], f"order-{k} partial sum")
+
+    def resumed(i: int, partials: dict[int, float]) -> None:
+        if not 0 <= i < len(tasks):
+            raise CheckpointError(f"checkpoint has unknown segments [{i}]")
+        if i in recorded:
+            raise CheckpointError(f"checkpoint records segment {i} twice")
+        if partials.keys() != sums.keys():
+            raise CheckpointError(f"checkpoint segment {i} has orders {sorted(partials)}, "
+                                  f"not {sorted(sums)}")
+        recorded.add(i)
+        add(partials)
+
+    if checkpoint_path and resume:
+        if load(checkpoint_path, digest, resumed):
+            log.info("resuming: %d of %d segments already done", len(recorded), len(tasks))
+        else:  # the writer starts the file
+            log.info("%s: missing or empty, nothing to resume; starting at segment 0",
+                     checkpoint_path)
 
     writer = checkpoint_path and CheckpointWriter(checkpoint_path, digest, fresh=not resume)
-    pending = [i for i in range(len(tasks)) if i not in done]
-    workers = min(threads, len(pending))  # a pool forks them all at its first submit
-    t0, shown, resumed, refusal = time.monotonic(), 0.0, len(done), ""
+    todo = len(tasks) - len(recorded)
+    workers = min(threads, todo)  # a pool forks them all at its first submit
+    t0, shown, ran, refusal = time.monotonic(), 0.0, 0, ""
 
     def finish(i: int, partials: dict[int, float]) -> bool:
         """Record task i; return whether the run may go on."""
-        nonlocal shown, refusal
-        done[i] = partials
+        nonlocal shown, ran, refusal
         if writer:
             writer.append(i, partials)
-        elapsed, ran = time.monotonic() - t0, len(done) - resumed
-        projected = elapsed * len(pending) / ran
+        add(partials)
+        elapsed, ran = time.monotonic() - t0, ran + 1
+        projected = elapsed * todo / ran
         if elapsed - shown >= PROGRESS_SECONDS:
             shown = elapsed
             log.info("%d/%d segments done, %.0f s elapsed, ETA %.0f s",
-                     len(done), len(tasks), elapsed, elapsed * (len(pending) - ran) / ran)
+                     len(recorded) + ran, len(tasks), elapsed, elapsed * (todo - ran) / ran)
         if projected > limit and ran >= 2 * workers:
             refusal = (f"projected run time {projected / 60:.0f} min "
                        f"exceeds {limit / 60:.0f} min")
         return not refusal
 
+    pending = (i for i in range(len(tasks)) if i not in recorded)
     try:
         if workers <= 1:
             for i in pending:
@@ -141,13 +165,12 @@ def run_tasks(
 
             pool = ProcessPoolExecutor(workers, initializer=_set_worker, initargs=(worker,))
             try:
-                queue = iter(pending)
                 # Oldest first, as a serial run; the younger keep the workers busy.
                 running = collections.deque((i, pool.submit(_call_worker, tasks[i])) for i in
-                                            itertools.islice(queue, TASKS_PER_WORKER * workers))
+                                            itertools.islice(pending, TASKS_PER_WORKER * workers))
                 while running:
                     i, fut = running.popleft()
-                    j = next(queue, None) if finish(i, fut.result()) else None
+                    j = next(pending, None) if finish(i, fut.result()) else None
                     if j is not None:
                         running.append((j, pool.submit(_call_worker, tasks[j])))
             finally:
@@ -155,8 +178,6 @@ def run_tasks(
     finally:
         if writer:
             writer.close()
-    if len(done) < len(tasks):
+    if ran < todo:
         raise LongRunError(refusal)
-
-    return {k: checked_fsum(f"order-{k} partial sum", (done[i][k] for i in range(len(tasks))))
-            for k in ks}
+    return {k: checked_fsum(f"order-{k} partial sum", running) for k, running in sums.items()}

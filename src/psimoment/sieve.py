@@ -44,13 +44,9 @@ _WHEEL = _wheel()
 
 # Base primes above (odd-mask length) / ROUNDS have at most ROUNDS multiples
 # in the mask and are crossed off together in rounds, unless there are fewer
-# than ROUND_PRIMES of them: then a slice each is cheaper.  On a 2-vCPU VM
-# the rounds took this share of the slices' time in a 2^21 segment's
-# _odd_mask ending at X (two runs, 60 calls of each): 1.23 at 1e8 (201 such
-# primes), 1.04 at 4e8 (1234), 1.00-1.01 at 5e8 (1474), 0.98 at 6e8 (1689),
-# 0.93 at 8e8 (2052), 0.90 at 1e9 (2373); a 2^22 range near 1e10 (7692)
-# took 2.35 ms in rounds against 5.7 ms in slices.  Either way the mask, and
-# so every bit downstream, is the same.
+# than ROUND_PRIMES of them: then a slice each is cheaper.  The rounds break
+# even at ~1500 such primes (a 2^21 segment near 5e8; CHANGES.md has the
+# timings).  Either way the mask, and so every bit downstream, is the same.
 ROUNDS = 128
 ROUND_PRIMES = 1500
 
@@ -175,10 +171,8 @@ def lambda_segment(seg: Segment, base: BasePrimes) -> tuple[np.ndarray, np.ndarr
             f"{seg.hi}; need limit >= {need}"
         )
     # One expression, so that no name here holds the mask or the primes
-    # without the powers: each is dropped as soon as the step after it has
-    # its output, and the logs are taken in place, so fewer large arrays are
-    # alive at once.  Held by a name until the call returned, the primes
-    # raised a fixed-integral run's peak RSS by ~0.4 MB (~1%).
+    # without the powers: each is dropped once the next step has its output
+    # and the logs are taken in place, so fewer large arrays are alive at once.
     ns, at, ps = _splice_powers(_mask_ns(*_odd_mask(seg.lo, seg.hi, base)), base, seg.lo, seg.hi)
     return ns, _weights(ns, at, ps)
 

@@ -25,6 +25,7 @@ import math
 import operator
 import sys
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from functools import partial
 
 import numpy as np
@@ -43,31 +44,18 @@ MAX_ORDER = 16
 # sweep_segment builds and folds the pieces in blocks of BLOCK: a block's
 # buffers take ~0.66 MB (the numpy path's merge permutation ~0.13 MB more),
 # half a 2^15 block's, and neither the merge nor any order copies a whole
-# segment.  The price is twice the blocks and parts, which the kernel now
-# sums itself.  On a 2-vCPU VM (AVX-512 clones), a 2^21 segment near 1e8
-# swept without its sieve call in ~1.75 ms fixed and ~2.1 ms scaled, against
-# ~2.05 and ~1.85 ms at 2^15 (medians of 41 calls, 3 interleaved processes);
-# pooled scaled-1e8 read wall_s 0.180 against 0.179 s at 2^15 (10 perfbench
-# pairs, 3/10 faster, inside the 0.013 s spread), where it was ~6% slower
-# while every part went through a Python list.  The numpy fallback is
-# ~5-15% slower per segment than at 2^15.  Blocks start at fixed indices, so
-# the bits do not depend on how the pieces were produced, but they do depend
-# on BLOCK.  Each block folds down to at most FOLD_TO sums.
+# segment; the kernel sums the twice as many parts itself, and a segment
+# sweeps about as fast as at 2^15 (CHANGES.md has the timings).  Blocks start
+# at fixed indices, so the bits do not depend on how the pieces were
+# produced, but they do depend on BLOCK.  Each block folds down to at most
+# FOLD_TO sums.
 BLOCK = 1 << 14
 FOLD_TO = 64
 
-# A run keeps ~0.4-0.5 KB per segment (its task tuple, its pending index and
-# its result dict), so 2^20 segments hold ~0.5 GB before any sweeping starts.
-# A pool adds only the futures of the few tasks it has in flight.  A default
-# segment size is never so short that a run would need more.
-MAX_SEGMENTS = 1 << 20
-
 # One segment holds its sieve arrays and the workspace's ~0.66 MB of block
-# buffers (the five that both paths use), so its memory grows with its one
-# sieve call's span, which is longer than the segment by the window's width:
-# a serial 2^25 segment at X = 1e9 peaks ~30 MB above an idle process's
-# ~29 MB RSS (~0.95 B per integer; ~57 MB, ~0.9 B, at a span just under 2^26).
-# A run where one segment would sieve more integers (a large segment size,
+# buffers, so its memory grows with its one sieve call's span, the segment
+# and the window's width: ~0.9-0.95 B per integer above an idle process.  A
+# run where one segment would sieve more integers (a large segment size,
 # delta or h) is refused rather than left to fail in numpy's allocator; a
 # default segment size is shortened to keep under it where it can.
 MAX_SEGMENT_SIZE = 1 << 26
@@ -120,22 +108,23 @@ def check_finite(**values: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
-def segments(lo: float, hi: float, size: int) -> list[tuple[float, float]]:
-    """Consecutive (a, b) pieces of length at most size covering [lo, hi]."""
-    # NaN fails every comparison; an int past the float range would overflow.
-    if not 1 <= size <= sys.float_info.max:
-        raise ValueError(f"segment_size must be finite and at least 1, got {size}")
-    if (hi - lo) / size > MAX_SEGMENTS:
-        raise ValueError(
-            f"{hi - lo:g} / segment_size {size} exceeds {MAX_SEGMENTS} segments; "
-            "use a larger segment size")
-    out = []
-    a = float(lo)
-    while a < hi:
-        b = min(a + size, float(hi))
-        out.append((a, b))
-        a = b
-    return out
+class Tasks(Sequence):
+    """The (a, b, *window) tasks of the segments of size that cover [lo, hi],
+    task i made from i: a = lo + i*size, exact below 2^53, as tasks keeps it."""
+
+    def __init__(self, lo: float, hi: float, size: int, *window):
+        self.lo, self.hi, self.size, self.window = lo, hi, size, window
+        # ceil((hi - lo) / size), exactly: a float floor division is exact.
+        self.count = max(0, int(-((lo - hi) // size)))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(self.count)[i]]
+        a = self.lo + range(self.count)[i] * self.size
+        return (a, min(a + self.size, self.hi), *self.window)
 
 
 def sieve_range(a: float, b: float, delta: float, beta: float) -> tuple[int, int]:
@@ -148,7 +137,7 @@ def default_segment_size(mode: str, X, param) -> int:
 
     The smallest power of two that is at least DEFAULT_SEGMENT_SIZE (its
     sieve mask and event arrays stay in cache), at least OVERLAP times the
-    window's width at X and at least X / MAX_SEGMENTS.  Where the first two
+    window's width at X and at least X / 2^20.  Where the first two
     would make one segment's sieve call pass MAX_SEGMENT_SIZE, it is halved
     toward DEFAULT_SEGMENT_SIZE until the call fits; the span check in tasks
     still refuses a window too wide for any.  No term passes
@@ -166,25 +155,33 @@ def default_segment_size(mode: str, X, param) -> int:
     # than b - a + width + 3 integers.
     while size > DEFAULT_SEGMENT_SIZE and size + width + 3 > MAX_SEGMENT_SIZE:
         size //= 2
-    return max(size, power_of_two((hi - lo) / MAX_SEGMENTS))
+    # X / 2^20 outlived the cap of 2^20 segments that it kept runs under: it
+    # sets the default's segments, and so its bits, past X ~ 2.2e12.
+    return max(size, power_of_two((hi - lo) / (1 << 20)))
 
 
-def tasks(mode: str, X, param, ks, segment_size: int) -> list[tuple]:
+def tasks(mode: str, X, param, ks, segment_size: int) -> Tasks:
     """The (a, b, delta, beta, ks) sweep_segment tasks of one run of mode over [1, X]."""
     name, window = WINDOWS[mode]
     lo, hi, delta, beta = window(X, param)
-    pieces = segments(lo, hi, segment_size)
+    if not (isinstance(segment_size, int) and 1 <= segment_size <= sys.float_info.max):
+        raise ValueError(f"segment_size must be an integer in [1, {sys.float_info.max:g}], "
+                         f"got {segment_size!r}")
+    top = (1.0 + delta) * hi + beta
+    if not top < 2.0 ** 53:  # past it, a float does not hold every integer
+        raise ValueError(f"the window's top, {top:g}, reaches 2^53; use a smaller X or {name}")
+    work = Tasks(float(lo), float(hi), segment_size, delta, beta, ks)
     # All segments but the last have one length and a span that grows with
     # their end, so the widest span is one of the last two.
     span = 0
-    for a, b in pieces[-2:]:
+    for a, b, *_ in work[-2:]:
         first, last = sieve_range(a, b, delta, beta)
         span = max(span, last - first)
     if span > MAX_SEGMENT_SIZE:
         raise ValueError(
             f"{name} = {param} makes one segment sieve {span} integers, above "
             f"{MAX_SEGMENT_SIZE}; use a smaller {name} or segment size")
-    return [(a, b, delta, beta, ks) for a, b in pieces]
+    return work
 
 
 def run(mode: str, X, param, ks, sieve, threads: int, segment_size: int | None,
@@ -227,16 +224,12 @@ class Workspace:
     """A process's sieve and the float64 buffers its segments reuse.
 
     A large numpy array is a fresh mapping whose pages the operating system
-    zeroes on first touch: with a fresh array per temporary, a 2^22 segment
-    faults in ~9.6k pages (~38 MB).  The sweep writes its arrays into these
-    buffers through out= instead: five of BLOCK + 2 values (~0.66 MB in all)
-    hold one block of pieces, whatever the segment's size.  The compiled
-    kernel needs nothing else.  On the numpy path, once a block's pieces are
-    built, the one that held their coordinates and the merge's permutation
-    are the fold's scratch.  So later segments' blocks map no new pages; the
-    sieve call's arrays are still fresh in every segment.  Only where
-    values are stored changes, not how they are computed, so the bits are
-    those of fresh arrays.
+    zeroes on first touch (~38 MB for a 2^22 segment with a fresh array per
+    temporary).  The sweep writes into these five buffers of BLOCK + 2
+    values (~0.66 MB) through out= instead, and the numpy path folds in the
+    two that held a block's coordinates and merge permutation, so later
+    segments map no new pages but their sieve call's.  Only where values
+    are stored changes, not how they are computed: the bits are the same.
     """
 
     def __init__(self, sieve):
@@ -265,15 +258,12 @@ def enter_at(v, delta: float, beta: float):
 def window_events(a: float, b: float, delta: float, beta: float, sieve):
     """The window's weights at x = a and the events for x in (a, b), as two sorted runs.
 
-    Returns (inside, leaves, enters, leave_ws, enter_ws): the weights of the
-    prime powers inside the window at x = a, whose window_weight is the
-    window weight s0 there, the ascending prime powers that leave the
-    window and those that enter it, and their weights, all views into the
-    sieve's arrays.  A prime power n leaves at
-    x = float(n) and enters at x = enter_at(float(n), delta, beta); a leave
-    lowers the window weight by its weight, an enter raises it, and in sweep
-    order leaves come first on equal coordinates.  No coordinate is stored:
-    each block of sweep_segment maps only its own slices.
+    Returns (inside, leaves, enters, leave_ws, enter_ws), all views into the
+    sieve's arrays: the weights inside the window at x = a (window_weight
+    sums them to s0), the ascending prime powers n that leave, at x =
+    float(n), and those that enter, at x = enter_at(float(n), delta, beta),
+    and their weights.  Leaves come first on equal coordinates.  No
+    coordinate is stored: each block of sweep_segment maps its own slices.
     """
     ns, ws = sieve.events(*sieve_range(a, b, delta, beta))
 
@@ -486,15 +476,12 @@ def sweep_segment(workspace: Workspace, task) -> dict[int, float]:
     The n events cut [a, b] into n + 1 pieces: piece i runs from x[i] to
     x[i+1], where x is a, the merged event coordinates, then b, and its
     window weight u[i] + beta is s0 plus the signed weights of the first i
-    events.  The pieces are built and folded in fixed index blocks of
-    BLOCK, so the events are never merged as a whole: block [i, j) starts
-    from the x[i], u[i] and count of merged leaves that the block before it
-    left, and merges only the events behind x[i+1..j], with the additions
-    of one cumsum over all pieces.  Every order's block is folded by _fold
-    and checked_fsum, one math.fsum per order, adds the folds of all blocks; it
-    raises NumericRangeError where that sum is not finite.  With
-    delta = 0 u is constant on each piece and a piece's term is its
-    integral L*u^k; otherwise the term is (k+1) times it.
+    events.  Block [i, j) of BLOCK pieces starts from the x[i], u[i] and
+    count of merged leaves that the block before it left and merges only
+    the events behind x[i+1..j], so the events are never merged as a whole.
+    _fold folds every order's block, and checked_fsum adds the folds of all
+    blocks (NumericRangeError where that is not finite).  With delta = 0 a
+    piece's term is its integral L*u^k; otherwise it is (k+1) times it.
 
     After window_events, the compiled kernel does all of it, the window
     weight and the sums too, where it loaded and passed its check, the

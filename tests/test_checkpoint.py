@@ -8,12 +8,13 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from concurrent.futures import Future
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from psimoment import moment_integral_fixed, moment_integral_scaled, moment_sum
 from psimoment.checkpoint import CheckpointError, CheckpointWriter, config_digest, load
@@ -22,6 +23,13 @@ from psimoment import runner, sweep
 from psimoment.runner import run_tasks
 
 from oracles import ZeroMangoldt
+
+
+def _recorded(path, digest: str) -> dict[int, dict[int, float]]:
+    """The checkpoint at path's records, keyed by segment, as load hands them out."""
+    done = {}
+    load(str(path), digest, done.__setitem__)
+    return done
 
 
 def _keep_first_records(path: str, n: int) -> None:
@@ -189,18 +197,19 @@ def test_digest_is_stable():
 
 def test_load_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
+    # A missing or 0-byte file recorded nothing; it is no error.
+    assert load(str(path), "digest", pytest.fail) is False
     path.write_text("")
-    with pytest.raises(CheckpointError):
-        load(str(path), "digest")
+    assert load(str(path), "digest", pytest.fail) is False
     # A torn record with another after it is damage, not an interrupted append.
     path.write_text(json.dumps({"version": 1, "digest": "digest"})
                     + '\n{"segment": 0, "val\n{"segment": 1, "values": {}}\n')
     with pytest.raises(CheckpointError, match="damaged"):
-        load(str(path), "digest")
+        _recorded(path, "digest")
     # A header of another format version.
     path.write_text(json.dumps({"version": 2, "digest": "digest"}) + "\n")
     with pytest.raises(CheckpointError, match="checkpoint version 2 != 1"):
-        load(str(path), "digest")
+        _recorded(path, "digest")
 
 
 def test_runner_overflow_raises():
@@ -255,7 +264,7 @@ def test_runner_resume_from_nothing_recorded(tmp_path, caplog, empty, threads):
                         checkpoint_path=str(path), resume=True, digest="d")
     assert got == {2: 1.0}
     assert path.read_text().splitlines()[0] == json.dumps({"version": 1, "digest": "d"})
-    assert sorted(load(str(path), "d")) == [0, 1, 2]
+    assert sorted(_recorded(path, "d")) == [0, 1, 2]
     assert f"{path}: missing or empty, nothing to resume; starting at segment 0" \
         in caplog.messages
 
@@ -289,6 +298,79 @@ def test_runner_refuses_no_threads_and_unknown_segments(tmp_path):
 def test_runner_reduction_is_fsum(xs):
     got = run_tasks(lambda i: {2: xs[i]}, range(len(xs)), [2])
     assert got[2].hex() == math.fsum(xs).hex()
+
+
+def _checked(xs: list) -> str | None:
+    """checked_fsum of xs as a hex, or None where it raises NumericRangeError."""
+    try:
+        return runner.checked_fsum("sum", xs).hex()
+    except NumericRangeError:
+        return None
+
+
+def _cancelling(draw_values):
+    """Lists of draw_values with some of their negations shuffled in."""
+    return st.lists(draw_values, min_size=1, max_size=60).flatmap(
+        lambda xs: st.permutations(xs + [-x for x in xs[::2]]))
+
+
+BIG = st.floats(1e307, sys.float_info.max) | st.floats(-sys.float_info.max, -1e307)
+
+
+@given(_cancelling(st.floats(-1e300, 1e300) | st.floats(-1e-300, 1e-300)) | _cancelling(BIG))
+@example([sys.float_info.max, sys.float_info.max, -sys.float_info.max])  # overflows in order
+@example([sys.float_info.max, -sys.float_info.max, sys.float_info.max])  # does not
+@example([-0.0, -0.0])
+def test_running_partials_are_fsum(xs):
+    # fsum_step keeps math.fsum's own partials: their fsum is the list's, bit
+    # for bit, and the sum ends in NumericRangeError on exactly the lists,
+    # taken in order, where checked_fsum does.
+    partials = []
+    try:
+        for x in xs:
+            runner.fsum_step(partials, x, "sum")
+    except NumericRangeError:
+        got = None
+    else:
+        got = _checked(partials)
+        assert len(partials) <= 40  # nonoverlapping: at most ~2098 / 53 of them
+    assert got == _checked(xs)
+
+
+def test_runner_bookkeeping_does_not_grow_with_segments():
+    # 2^17 segments: the running sums, a count and no list, dict or task
+    # per segment (a list of tasks, pending indices and results took ~41 MB).
+    tracemalloc.start()
+    try:
+        got = run_tasks(lambda i: {2: 1.0}, range(1 << 17), [2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == {2: float(1 << 17)}
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("records,match", [
+    ([{"segment": 0, "values": {"2": "0x1p+0"}}], r"segment 0 has orders \[2\], not \[2, 4\]"),
+    ([{"segment": 0, "values": {"2": "0x1p+0", "4": "0x1p+0", "6": "0x1p+0"}}],
+     r"orders \[2, 4, 6\]"),
+    ([{"segment": 1, "values": {"2": "0x1p+0", "4": "0x1p+0"}}] * 2, "segment 1 twice"),
+    ([{"segment": 1.7, "values": {"2": "0x1p+0", "4": "0x1p+0"}}], "1.7 is not an integer"),
+    ([{"segment": "1", "values": {"2": "0x1p+0", "4": "0x1p+0"}}], "'1' is not an integer"),
+    ([{"segment": True, "values": {"2": "0x1p+0", "4": "0x1p+0"}}], "True is not an integer"),
+], ids=["order-missing", "order-extra", "repeated", "fraction", "string", "bool"])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_resume_refuses_a_bad_record_before_sweeping(tmp_path, records, match, threads):
+    # Read earlier, such a record was summed with the wrong orders (a
+    # KeyError after every segment was swept) or taken as another segment.
+    path = tmp_path / "ck.jsonl"
+    path.write_text("\n".join(json.dumps(rec) for rec in
+                              [{"version": 1, "digest": "d"}, *records]) + "\n")
+    swept = []
+    with pytest.raises(CheckpointError, match=match):
+        run_tasks(lambda i: swept.append(i) or {2: 1.0, 4: 1.0}, range(4), [2, 4],
+                  threads=threads, checkpoint_path=str(path), resume=True, digest="d")
+    assert swept == []
 
 
 def _index_worker(task):
@@ -371,7 +453,7 @@ def test_runner_bounded_submissions(monkeypatch, tmp_path):
     assert pools[0].peak == 3 * runner.TASKS_PER_WORKER
     assert pools[0].in_flight == 0
     assert got == run_tasks(_index_worker, range(n), [2])
-    assert sorted(load(str(path), "")) == list(range(n))
+    assert sorted(_recorded(path, "")) == list(range(n))
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -393,7 +475,7 @@ def test_runner_refusal_records_every_task_handed_out(threads, monkeypatch, tmp_
     # before the refusal.
     handed = 2 if threads == 1 else 2 * runner.TASKS_PER_WORKER + 3
     assert sorted(ran) == list(range(handed))
-    assert sorted(load(str(path), "")) == sorted(ran)
+    assert sorted(_recorded(path, "")) == sorted(ran)
 
 
 def test_runner_pool_has_no_more_workers_than_tasks(monkeypatch):

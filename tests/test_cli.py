@@ -115,7 +115,7 @@ def test_readme_cli_examples_parse():
 
 def test_huge_finite_run_exits_2(capsys):
     code, out, err = run_cli(["scaled", "--x", "1e308", "--delta", "1"], capsys)
-    assert code == 2 and err.startswith("error: ") and "exceeds 1048576 segments" in err
+    assert code == 2 and err.startswith("error: ") and "reaches 2^53" in err
 
 
 def test_predict_missing_param(capsys):
@@ -363,8 +363,7 @@ def test_domain_error_exit_code(capsys):
                  # sum mode would truncate these to integers
                  ["fixed", "--x", "1000", "--h", "2.5"],
                  ["fixed", "--x", "1000.9", "--h", "10"],
-                 # 10^10 segments: refused before any of them is built
-                 ["fixed", "--x", "1e10", "--h", "1e5", "--segment-size", "1"],
+                 # 10^10 segments: the long-run guard stops it after two
                  ["reproduce", "ms-table", "--segment-size", "1"],
                  # one segment of 10^9 integers: refused before it is sieved
                  ["scaled", "--x", "1e9", "--delta", "1e-4",
@@ -465,6 +464,23 @@ def test_checkpoint_resume_via_cli(tmp_path, capsys):
     b = tmp_path / "b.csv"
     run_cli(args + ["--resume", "--out", str(b)], capsys)
     assert strip_wall(a.read_text()) == strip_wall(b.read_text())
+
+
+def test_resume_with_an_order_missing_from_a_record_exits_2(tmp_path, capsys):
+    # A record without order 4 is refused as the resume reads it, before any
+    # segment is swept; it was a KeyError, exit 1, once every one had been.
+    ck = tmp_path / "ck.jsonl"
+    args = ["fixed", "--x", "20000", "--h", "100", "--k", "2,4", "--segment-size", "4096",
+            "--checkpoint", str(ck)]
+    assert run_cli(args, capsys)[0] == 0
+    lines = ck.read_text().splitlines()
+    record = json.loads(lines[1])
+    del record["values"]["4"]
+    ck.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    code, out, err = run_cli(args + ["--resume"], capsys)
+    assert code == 2 and err.startswith("error: "), err
+    assert "checkpoint segment 0 has orders [2], not [2, 4]" in err
+    assert len(ck.read_text().splitlines()) == 2  # nothing was swept or appended
 
 
 @pytest.mark.parametrize("args", [

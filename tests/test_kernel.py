@@ -327,6 +327,15 @@ def numpy_moments():
         return psimoment.moment_integral_scaled(5000.5, 0.37, KS16, segment_size=1000)
 
 
+@pytest.fixture
+def quick_build(monkeypatch):
+    """Build the test's throwaway libraries at -O0 (~0.13 s, not ~0.9 s with
+    three target_clones).  The flags are in the library's name, so these
+    builds never stand in for the real -O3 one, which the compiled fixture
+    and sweep.load_kernel() keep."""
+    monkeypatch.setattr(kernel, "FLAGS", tuple("-O0" if f == "-O3" else f for f in kernel.FLAGS))
+
+
 def fallback_run(monkeypatch, caplog, tmp_path):
     """One run with a fresh kernel decision and cache; its moments and log lines."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
@@ -357,6 +366,7 @@ def test_missing_compiler_falls_back_to_numpy(monkeypatch, caplog, tmp_path):
     ("double psimoment_sweep(", "double psimoment_sweep(undeclared_type t,",
      r"sweep: numpy path; the compiled kernel did not build or load: cc exited \d+: "),
 ], ids=["wrong-bits", "no-symbol", "no-compile"])
+@pytest.mark.usefixtures("quick_build")
 def test_broken_kernel_falls_back_to_numpy(monkeypatch, caplog, tmp_path, old, new, line):
     source = Path(kernel.SOURCE).read_text()
     assert old in source
@@ -368,6 +378,7 @@ def test_broken_kernel_falls_back_to_numpy(monkeypatch, caplog, tmp_path, old, n
     assert len(lines) == 1 and re.match(line, lines[0]), lines
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_kernel_builds_once_into_the_cache(compiled, monkeypatch, caplog, tmp_path):
     got, lines = fallback_run(monkeypatch, caplog, tmp_path)
     library = tmp_path / "cache" / "psimoment" / kernel.library_name()
@@ -396,6 +407,7 @@ def kernel_run(monkeypatch, caplog, tmp_path):
     return Path(lines[0].removeprefix("sweep: compiled kernel "))
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_cache_of_another_user_is_passed_over(compiled, monkeypatch, caplog, tmp_path):
     # Both cache directories exist, owned by this process's user, which
     # the loader is told is someone else: it builds into a fresh private
@@ -412,6 +424,7 @@ def test_cache_of_another_user_is_passed_over(compiled, monkeypatch, caplog, tmp
 
 
 @pytest.mark.parametrize("plant", ["writable", "symlink", "writable-library"])
+@pytest.mark.usefixtures("quick_build")
 def test_cache_that_others_can_write_is_passed_over(compiled, monkeypatch, caplog,
                                                     tmp_path, plant):
     # A per-user cache that group and others can write, one that is a
@@ -435,6 +448,7 @@ def test_cache_that_others_can_write_is_passed_over(compiled, monkeypatch, caplo
                                          if plant == "writable-library" else [])
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_corrupt_library_is_rebuilt(compiled, monkeypatch, caplog, tmp_path):
     # A cached library that does not load is rebuilt once, under its name.
     cache = tmp_path / "cache" / "psimoment"
@@ -446,6 +460,7 @@ def test_corrupt_library_is_rebuilt(compiled, monkeypatch, caplog, tmp_path):
     assert library.read_bytes().startswith(b"\x7fELF") and library.stat().st_size > 1000
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_library_with_wrong_bits_is_rebuilt(compiled, monkeypatch, caplog, tmp_path):
     # A cached library that loads but fails the check against numpy (built
     # from a source with TwoSum's second error term dropped, but under the
@@ -469,6 +484,7 @@ def test_library_with_wrong_bits_is_rebuilt(compiled, monkeypatch, caplog, tmp_p
                                                   lambda fn: None)) is None
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_build_removes_stale_libraries(compiled, monkeypatch, caplog, tmp_path):
     # Libraries, markers and temporary files of another source or flags are
     # removed once this one is built if they are a day old; younger ones,
@@ -495,6 +511,7 @@ def counted_builds(monkeypatch):
     return built
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_sources_that_alternate_build_once_each(compiled, monkeypatch, tmp_path):
     # Two trees whose sources differ share one cache: each source is built
     # once, and loading them in turn afterwards builds nothing.
@@ -514,6 +531,7 @@ def test_sources_that_alternate_build_once_each(compiled, monkeypatch, tmp_path)
         os.path.basename(p) for p in paths[:2])
 
 
+@pytest.mark.usefixtures("quick_build")
 def test_failed_build_is_not_repeated_for_a_day(compiled, monkeypatch, caplog, tmp_path):
     # A build that fails its check is not published but leaves its reason:
     # a later decision logs that reason and takes the numpy path without

@@ -145,11 +145,18 @@ def test_integral_modes_vs_oracles(data):
 
 
 def test_segment_cap(monkeypatch):
-    # 10^10 one-integer segments are refused before any bookkeeping is built.
+    # 10^10 one-integer segments are a long run, not a refusal: its tasks are
+    # made from their index, so none is built before the first is swept.
     t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="segments"):
-        moment_sum(10**10, 10**5, [2], segment_size=1)
+    work = sweep.tasks("fixed-sum", 10**10, 10**5, (2,), 1)
+    assert len(work) == 10**10
+    assert work[-1] == (1e10, 1e10 + 1, 0.0, 1e5, (2,))
     assert time.perf_counter() - t0 < 0.5
+    # Past 2^53 a float does not hold every integer: a window whose top
+    # reaches it is refused.
+    assert len(sweep.tasks("fixed-integral", 2.0**53 - 2, 1.0, (2,), 1 << 25)) == 1 << 28
+    with pytest.raises(ValueError, match=r"reaches 2\^53"):
+        sweep.tasks("fixed-integral", 2.0**53 - 2, 2.0, (2,), 1 << 25)
     # A wide window widens every segment's one sieve call past its size: at
     # delta = 1 the last segment ending at 1e9 would sieve ~1e9 integers.
     t0 = time.perf_counter()
@@ -163,21 +170,66 @@ def test_segment_cap(monkeypatch):
         assert len(sweep.tasks("fixed-integral", 1000, 49, (2,), 50)) == 20
         with pytest.raises(ValueError, match="h = 50 makes one segment sieve 101"):
             sweep.tasks("fixed-integral", 1000, 50, (2,), 50)
-    monkeypatch.setattr(sweep, "MAX_SEGMENTS", 4)
-    assert len(sweep.segments(0.0, 12.0, 3)) == 4
-    with pytest.raises(ValueError, match="exceeds 4 segments"):
-        sweep.segments(0.0, 13.0, 3)
+    assert len(sweep.Tasks(0.0, 12.0, 3)) == 4
+    assert len(sweep.Tasks(0.0, 13.0, 3)) == 5
     # One segment's memory grows with its sieve span, the only cap: a segment
     # size past it cuts a short run into one segment, which fits, and a long
     # run into full segments, which do not.
     cap = sweep.MAX_SEGMENT_SIZE
-    assert sweep.segments(0.0, 2.0 * cap, cap) == [(0.0, cap), (cap, 2.0 * cap)]
+    assert list(sweep.Tasks(0.0, 2.0 * cap, cap)) == [(0.0, cap), (cap, 2.0 * cap)]
     assert len(sweep.tasks("fixed-integral", 1000.0, 1.0, (2,), cap + 1)) == 1
     with pytest.raises(ValueError, match="makes one segment sieve"):
         sweep.tasks("fixed-integral", 3.0 * cap, 1.0, (2,), cap + 1)
-    for size in (0, math.nan, math.inf, 10**400):  # 10**400 overflows a float
+    # 10**400 overflows a float; a size must be an integer.
+    for size in (0, math.nan, math.inf, 10**400, 2.5, 4096.0):
         with pytest.raises(ValueError, match="segment_size"):
-            sweep.segments(0.0, 10.0, size)
+            sweep.tasks("fixed-integral", 10.0, 1.0, (2,), size)
+
+
+def _loop(a: float, hi: float, size: int, n: float = math.inf) -> list[tuple]:
+    """Up to n (a, b) segments from a, as the loop that tasks replaced made them."""
+    out = []
+    while a < hi and len(out) < n:
+        b = min(a + size, hi)
+        out.append((a, b))
+        a = b
+    return out
+
+
+@pytest.mark.parametrize("mode", sorted(sweep.WINDOWS))
+@pytest.mark.parametrize("X", [1050.5, 10**4, 1e8, 3 * 2**41])
+@pytest.mark.parametrize("size", [1, 7, 1000, 1 << 21, (1 << 26) + 1])
+def test_tasks_are_the_segment_loop(mode, X, size):
+    # Task i is lo + i*size, which is the loop's sum of i sizes while it is an
+    # integer below 2^53.  Runs the loop cannot cover in a test are checked on
+    # their first and last 1000 segments; the last from the exact start of
+    # the 1000th from the end.
+    param = 1e-7 if mode == "scaled-integral" else 10
+    lo, hi, delta, beta = sweep.WINDOWS[mode][1](X, param)
+    try:
+        work = sweep.tasks(mode, X, param, (2, 4), size)
+    except ValueError as exc:  # a full segment of 2^26 + 1 sieves past the cap
+        assert "makes one segment sieve" in str(exc) and size > sweep.MAX_SEGMENT_SIZE
+        work = sweep.Tasks(float(lo), float(hi), size, delta, beta, (2, 4))
+    n = len(work)
+    assert all(t[2:] == (delta, beta, (2, 4)) for t in work[:3] + work[-3:])
+    if n <= 1 << 16:
+        want = _loop(float(lo), float(hi), size)
+        assert [t[:2] for t in work] == want  # iteration
+        assert [t[:2] for t in work[-2:]] == want[-2:]
+        assert [t[:2] for t in work[-20:]] == want[-20:]
+        assert [work[i][:2] for i in range(-n, 0)] == want
+    else:
+        assert [t[:2] for t in work[:1000]] == _loop(float(lo), float(hi), size, 1000)
+        start = work[-1000][0]
+        assert start == int(start) == 1 + (n - 1000) * size
+        tail = _loop(start, float(hi), size)
+        assert [t[:2] for t in work[-1000:]] == tail
+        assert [t[:2] for t in work[-20:]] == tail[-20:]
+        assert [t[:2] for t in work[-2:]] == tail[-2:] == [work[-2][:2], work[-1][:2]]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            work[i]
 
 
 @pytest.mark.parametrize("mode,X,param,log2", [
@@ -213,27 +265,25 @@ def test_default_segment_size(mode, X, param, log2):
 ])
 def test_default_segment_size_of_a_huge_run_is_the_span_cap(mode, X, param):
     # Every term is capped before it is rounded: no OverflowError, and the
-    # segment count check refuses the run.
+    # 2^53 check refuses the run.
     assert sweep.default_segment_size(mode, X, param) == sweep.MAX_SEGMENT_SIZE
-    with pytest.raises(ValueError, match="exceeds 1048576 segments"):
+    with pytest.raises(ValueError, match=r"reaches 2\^53"):
         sweep.tasks(mode, X, param, (2,), sweep.MAX_SEGMENT_SIZE)
 
 
-def test_default_segment_size_keeps_under_the_segment_cap(monkeypatch):
-    # Past MAX_SEGMENTS * 2^21 the default segment widens, so the segment cap
-    # never refuses a run that names no size; a cap of 2^4 segments keeps
-    # the task lists short.
-    monkeypatch.setattr(sweep, "MAX_SEGMENTS", 1 << 4)
-    X = 1.5 * (1 << 4) * DEFAULT_SEGMENT_SIZE
+def test_default_segment_size_keeps_under_the_segment_cap():
+    # Past 2^20 * 2^21 the default segment widens, so a run that names no
+    # size has at most 2^20 segments.  No cap refuses more: the term stays
+    # for the segments, and so the bits, that it sets.
+    X = 1.5 * (1 << 20) * DEFAULT_SEGMENT_SIZE
     size = sweep.default_segment_size("fixed-integral", X, 1e5)
     assert size == 2 * DEFAULT_SEGMENT_SIZE
-    assert len(sweep.tasks("fixed-integral", X, 1e5, (2,), size)) == 12
-    with pytest.raises(ValueError, match="exceeds 16 segments"):
-        sweep.tasks("fixed-integral", X, 1e5, (2,), DEFAULT_SEGMENT_SIZE)
-    # fixed-sum runs to X + 1: exactly MAX_SEGMENTS full segments fit.
-    X = (1 << 4) * 4 * DEFAULT_SEGMENT_SIZE
+    assert len(sweep.tasks("fixed-integral", X, 1e5, (2,), size)) == 3 << 18
+    assert len(sweep.tasks("fixed-integral", X, 1e5, (2,), DEFAULT_SEGMENT_SIZE)) == 3 << 19
+    # fixed-sum runs to X + 1: exactly 2^20 full segments.
+    X = (1 << 20) * 4 * DEFAULT_SEGMENT_SIZE
     assert sweep.default_segment_size("fixed-sum", X, 10) == 4 * DEFAULT_SEGMENT_SIZE
-    assert len(sweep.tasks("fixed-sum", X, 10, (2,), 4 * DEFAULT_SEGMENT_SIZE)) == 16
+    assert len(sweep.tasks("fixed-sum", X, 10, (2,), 4 * DEFAULT_SEGMENT_SIZE)) == 1 << 20
 
 
 def test_explicit_segment_size_is_used_as_given(monkeypatch):
